@@ -73,12 +73,8 @@ EnsembleResult ensemble_rank(std::span<const std::unique_ptr<FeatureRanker>> ran
                              PipelineDiagnostics* diag = nullptr,
                              const obs::Context* obs = nullptr);
 
-/// Raw per-ranker score vectors: the transportable half of the
-/// ensemble. A sharded run computes these in worker processes (one
-/// (population, ranker) job at a time), ships them back as WEFRSH01
-/// records, and finalizes through ensemble_rank_from_scores — the
-/// exact code path ensemble_rank itself uses, so a score vector
-/// produced anywhere finalizes to the same EnsembleResult bit for bit.
+/// Raw per-ranker score vectors: the output of the ranking half of the
+/// ensemble, before sanitization, ranking, and outlier pruning.
 struct RankerRawScores {
   std::vector<std::string> names;            ///< per ranker
   std::vector<std::vector<double>> scores;   ///< per ranker: raw importances
@@ -100,8 +96,7 @@ RankerRawScores ensemble_score_rankers(std::span<const std::unique_ptr<FeatureRa
 /// Deterministic finalization of raw ranker scores: sanitize non-finite
 /// importances, derive fractional rankings, prune Kendall-tau outliers,
 /// and average the survivors. ensemble_rank is exactly
-/// ensemble_score_rankers + this, so feeding scores computed in another
-/// process reproduces the in-process EnsembleResult bitwise.
+/// ensemble_score_rankers + this.
 EnsembleResult ensemble_rank_from_scores(RankerRawScores raw, std::size_t num_features,
                                          const EnsembleOptions& opt = {},
                                          PipelineDiagnostics* diag = nullptr,

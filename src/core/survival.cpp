@@ -30,17 +30,6 @@ void SurvivalTally::add_drive(const data::DriveSeries& drive, std::size_t mwi_co
   if (drive.failed() && drive.fail_day <= as_of_day) ++failed;
 }
 
-void SurvivalTally::merge(const SurvivalTally& other) {
-  if (other.bucket_width_ != bucket_width_)
-    throw std::invalid_argument("SurvivalTally::merge: bucket_width mismatch");
-  for (const auto& [v, counts] : other.buckets_) {
-    auto& [total, failed] = buckets_[v];
-    total += counts.first;
-    failed += counts.second;
-  }
-  drives_skipped_nan_ += other.drives_skipped_nan_;
-}
-
 SurvivalCurve SurvivalTally::finalize(std::size_t min_count) const {
   SurvivalCurve curve;
   curve.drives_skipped_nan = static_cast<std::size_t>(drives_skipped_nan_);

@@ -227,7 +227,7 @@ class RowAssembler {
       }
       seen_ids_.insert(row_id);
       fleet_.drives.emplace_back();
-      ok_rows_per_drive_.push_back(0);
+      ok_rows_by_drive_.push_back(0);
       current_ = &fleet_.drives.back();
       current_->drive_id = row_id;
       current_->first_day = day;
@@ -269,7 +269,7 @@ class RowAssembler {
     }
     current_->values.push_row({vals, nf_});
     ++rep_.rows_ok;
-    ++ok_rows_per_drive_[fleet_.drives.size() - 1];
+    ++ok_rows_by_drive_[fleet_.drives.size() - 1];
     max_day_ = std::max(max_day_, day);
   }
 
@@ -290,8 +290,8 @@ class RowAssembler {
       kept.reserve(fleet_.drives.size());
       for (std::size_t i = 0; i < fleet_.drives.size(); ++i) {
         if (poisoned_ids_.count(fleet_.drives[i].drive_id) > 0) {
-          rep_.rows_ok -= ok_rows_per_drive_[i];
-          rep_.rows_quarantined += ok_rows_per_drive_[i];
+          rep_.rows_ok -= ok_rows_by_drive_[i];
+          rep_.rows_quarantined += ok_rows_by_drive_[i];
           ++rep_.drives_quarantined;
         } else {
           kept.push_back(std::move(fleet_.drives[i]));
@@ -334,7 +334,7 @@ class RowAssembler {
   std::unordered_set<std::string> seen_ids_;      // every drive id started
   std::unordered_set<std::string> poisoned_ids_;  // kSkipDrive casualties
   std::unordered_set<std::string> flagged_ids_;   // ids in quarantined_drive_ids
-  std::vector<std::size_t> ok_rows_per_drive_;    // parallel to fleet_.drives
+  std::vector<std::size_t> ok_rows_by_drive_;     // parallel to fleet_.drives
   DriveSeries* current_ = nullptr;
   int max_day_ = -1;
 };

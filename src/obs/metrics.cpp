@@ -39,17 +39,6 @@ Histogram::Snapshot Histogram::snapshot() const {
   return s;
 }
 
-bool Histogram::absorb(const Snapshot& s) {
-  if (s.bounds != bounds_ || s.counts.size() != bounds_.size() + 1) return false;
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    counts_[i].fetch_add(s.counts[i], std::memory_order_relaxed);
-  count_.fetch_add(s.count, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + s.sum, std::memory_order_relaxed)) {
-  }
-  return true;
-}
-
 namespace {
 
 /// Splits a stored series key into its base name and the label text
@@ -157,42 +146,6 @@ bool Registry::empty() const {
   return counters_.empty() && gauges_.empty() && histograms_.empty();
 }
 
-MetricsSnapshot Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsSnapshot s;
-  for (const auto& [name, c] : counters_) s.counters.emplace(name, c->value());
-  for (const auto& [name, g] : gauges_) s.gauges.emplace(name, g->value());
-  for (const auto& [name, h] : histograms_) s.histograms.emplace(name, h->snapshot());
-  s.help = help_;
-  return s;
-}
-
-std::size_t Registry::absorb(const MetricsSnapshot& snap, const std::string& label) {
-  std::size_t absorbed = 0;
-  for (const auto& [name, help] : snap.help) {
-    std::lock_guard<std::mutex> lock(mu_);
-    help_.emplace(name, help);
-  }
-  for (const auto& [name, v] : snap.counters) {
-    counter(append_label(name, label)).add(v);
-    ++absorbed;
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    gauge(append_label(name, label)).set(v);
-    ++absorbed;
-  }
-  for (const auto& [name, hs] : snap.histograms) {
-    // Shape-check before registering: snapshots may arrive off the wire,
-    // and the Histogram constructor throws on malformed bounds.
-    if (hs.bounds.empty() || hs.counts.size() != hs.bounds.size() + 1 ||
-        !std::is_sorted(hs.bounds.begin(), hs.bounds.end()) ||
-        std::adjacent_find(hs.bounds.begin(), hs.bounds.end()) != hs.bounds.end())
-      continue;
-    if (histogram(append_label(name, label), hs.bounds).absorb(hs)) ++absorbed;
-  }
-  return absorbed;
-}
-
 void Registry::write_json(json::Writer& w) const {
   std::lock_guard<std::mutex> lock(mu_);
   w.begin_object();
@@ -233,7 +186,7 @@ void Registry::write_json(std::ostream& os) const {
 
 void Registry::write_prometheus(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Group series by base name first: "m" and "m{shard=\"3\"}" are one
+  // Group series by base name first: "m" and "m{stage=\"x\"}" are one
   // family and the exposition format requires a family's samples to sit
   // contiguously under a single # HELP / # TYPE pair — map iteration
   // order alone does not give that ("m_other" sorts between them).

@@ -60,11 +60,6 @@ class Histogram {
   };
   Snapshot snapshot() const;
 
-  /// Adds a snapshot's buckets into this histogram (cross-process
-  /// merge). Returns false and changes nothing when the bucket layouts
-  /// differ — mismatched shapes must not silently mis-bin.
-  bool absorb(const Snapshot& s);
-
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  ///< bounds_.size()+1
@@ -78,24 +73,10 @@ std::string escape_label_value(std::string_view value);
 
 /// Builds a labeled series name — `base{key="value"}` with the value
 /// escaped. When `base` already carries a label block the new pair is
-/// appended inside it (`m{a="x"}` + (shard, 3) -> `m{a="x",shard="3"}`),
-/// so a worker's already-labeled stage histograms gain the shard label
-/// on merge. This is the sanctioned way to put labels in a metric
-/// name; sanitize_name preserves a trailing {...} block verbatim.
+/// appended inside it (`m{a="x"}` + (b, 3) -> `m{a="x",b="3"}`). This
+/// is the sanctioned way to put labels in a metric name; sanitize_name
+/// preserves a trailing {...} block verbatim.
 std::string labeled(std::string_view base, std::string_view key, std::string_view value);
-
-/// Plain-data image of a Registry at one instant: every counter, gauge,
-/// and histogram keyed by its (possibly labeled) series name, plus the
-/// recorded help strings keyed by base name. This is what crosses a
-/// process boundary — a shard worker snapshots its local registry,
-/// ships the snapshot inside a WEFROB01 record, and the merging parent
-/// absorbs it as `name{shard="k"}` series.
-struct MetricsSnapshot {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, Histogram::Snapshot> histograms;
-  std::map<std::string, std::string> help;  ///< keyed by base metric name
-};
 
 /// Named-metric registry: counters, gauges, and histograms registered
 /// by name, exported as JSON or Prometheus text. Registration takes a
@@ -118,19 +99,6 @@ class Registry {
                        const std::string& help = "");
 
   bool empty() const;
-
-  /// Plain-data copy of every registered metric, for serialization
-  /// (obs/wire.h) and cross-process merging.
-  MetricsSnapshot snapshot() const;
-
-  /// Merges a worker registry snapshot into this one as labeled series:
-  /// worker metric `name` lands here as `name{<label>}`, where `label`
-  /// is one pre-escaped `key="value"` pair (normally `shard="k"`).
-  /// Counters and histograms add — integer bucket/count arithmetic, so
-  /// repeated absorbs sum exactly — and gauges overwrite. Help strings
-  /// merge by base name (first writer wins, matching registration).
-  /// Returns the number of series absorbed.
-  std::size_t absorb(const MetricsSnapshot& snap, const std::string& label);
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}} value
   /// emitted into an in-flight writer (for embedding in a RunReport).

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "core/pipeline.h"
 #include "core/wefr.h"
@@ -166,6 +167,75 @@ TEST(Wefr, CleanRunLeavesDiagnosticsClean) {
   EXPECT_EQ(with_diag.all.selected, without.all.selected);
   EXPECT_FALSE(diag.selection_degraded);
   EXPECT_FALSE(with_diag.all.degraded);
+}
+
+// memcmp, not ==: NaN slots (a failed ranker's scores) must sit in
+// exactly the same cells, and -0.0 must not pass for 0.0.
+void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& b,
+                       const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  if (!a.empty()) {
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0) << what;
+  }
+}
+
+void expect_group_bits_equal(const GroupSelection& a, const GroupSelection& b) {
+  SCOPED_TRACE(a.label);
+  EXPECT_EQ(a.label, b.label);
+  EXPECT_EQ(a.num_samples, b.num_samples);
+  EXPECT_EQ(a.num_positives, b.num_positives);
+  EXPECT_EQ(a.fallback, b.fallback);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.selected, b.selected);
+  EXPECT_EQ(a.selected_names, b.selected_names);
+  EXPECT_EQ(a.ensemble.ranker_names, b.ensemble.ranker_names);
+  ASSERT_EQ(a.ensemble.scores.size(), b.ensemble.scores.size());
+  for (std::size_t k = 0; k < a.ensemble.scores.size(); ++k) {
+    expect_bits_equal(a.ensemble.scores[k], b.ensemble.scores[k], "ranker scores");
+    expect_bits_equal(a.ensemble.rankings[k], b.ensemble.rankings[k], "ranker ranking");
+  }
+  expect_bits_equal(a.ensemble.mean_distance, b.ensemble.mean_distance, "mean distance");
+  EXPECT_EQ(a.ensemble.discarded, b.ensemble.discarded);
+  EXPECT_EQ(a.ensemble.failed, b.ensemble.failed);
+  expect_bits_equal(a.ensemble.final_ranking, b.ensemble.final_ranking, "final ranking");
+  EXPECT_EQ(a.ensemble.order, b.ensemble.order);
+  EXPECT_EQ(a.selection.count, b.selection.count);
+  EXPECT_EQ(a.selection.selected, b.selection.selected);
+  expect_bits_equal(a.selection.complexity, b.selection.complexity, "complexity");
+}
+
+TEST(Wefr, ResultBitIdenticalAcrossThreadCounts) {
+  // The full Algorithm 1 — whole-model selection, survival curve,
+  // change point, per-wear-group re-selection — must not depend on the
+  // thread count: wefr_select runs it on every hardware thread.
+  const auto fleet = mc1_fleet(33, 1400);
+  const auto train = build_selection_samples(fleet, 0, 150, light_cfg());
+  WefrOptions opt;
+  opt.update_with_wearout = true;
+  opt.num_threads = 1;
+  const auto serial = run_wefr(fleet, train, 150, opt);
+  opt.num_threads = 4;
+  const auto threaded = run_wefr(fleet, train, 150, opt);
+
+  // The fleet has a wear-out change point, so every stage ran.
+  ASSERT_TRUE(serial.change_point.has_value());
+  ASSERT_TRUE(serial.low.has_value());
+  ASSERT_TRUE(serial.high.has_value());
+
+  expect_group_bits_equal(serial.all, threaded.all);
+  expect_bits_equal(serial.survival.mwi, threaded.survival.mwi, "survival mwi");
+  expect_bits_equal(serial.survival.rate, threaded.survival.rate, "survival rate");
+  EXPECT_EQ(serial.survival.total, threaded.survival.total);
+  EXPECT_EQ(serial.survival.drives_skipped_nan, threaded.survival.drives_skipped_nan);
+  ASSERT_TRUE(threaded.change_point.has_value());
+  const auto& cs = *serial.change_point;
+  const auto& ct = *threaded.change_point;
+  expect_bits_equal({cs.mwi_threshold, cs.zscore, cs.probability},
+                    {ct.mwi_threshold, ct.zscore, ct.probability}, "change point");
+  ASSERT_TRUE(threaded.low.has_value());
+  ASSERT_TRUE(threaded.high.has_value());
+  expect_group_bits_equal(*serial.low, *threaded.low);
+  expect_group_bits_equal(*serial.high, *threaded.high);
 }
 
 TEST(Wefr, DeterministicAcrossRuns) {
