@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "data/matrix.h"
+#include "util/thread_pool.h"
 
 namespace wefr::ml {
 
@@ -25,8 +26,10 @@ class QuantizedDataset {
   QuantizedDataset() = default;
 
   /// Quantizes all rows of `x` into at most `max_bins` bins per feature
-  /// (clamped to [2, 256] so codes fit in a uint8_t).
-  void build(const data::Matrix& x, std::size_t max_bins = 256);
+  /// (clamped to [2, 256] so codes fit in a uint8_t). With `pool`,
+  /// columns are binned in parallel; the result is identical.
+  void build(const data::Matrix& x, std::size_t max_bins = 256,
+             util::ThreadPool* pool = nullptr);
 
   bool empty() const { return rows_ == 0; }
   std::size_t rows() const { return rows_; }
@@ -60,6 +63,11 @@ class QuantizedDataset {
   }
 
  private:
+  /// Bins feature `f` into lower_/upper_/codes_; `sorted` is scratch of
+  /// length rows().
+  void bin_column(const data::Matrix& x, std::size_t f, std::size_t max_bins,
+                  std::vector<double>& sorted);
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::uint8_t> codes_;        ///< column-major: codes_[f * rows_ + r]

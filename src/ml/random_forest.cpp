@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <istream>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -42,8 +44,14 @@ void RandomForest::fit(const data::Matrix& x, std::span<const int> y, const Fore
   const bool histogram =
       topt.split_method == SplitMethod::kHistogram ||
       (topt.split_method == SplitMethod::kAuto && boot >= topt.histogram_cutoff);
+  // One pool serves the binning and the tree loop.
+  std::optional<util::ThreadPool> pool;
+  if (opt.num_threads > 1) pool.emplace(opt.num_threads);
   QuantizedDataset quantized;
-  if (histogram) quantized.build(x, topt.max_bins);
+  if (histogram) {
+    obs::Span quantize_span(obs, "forest:quantize");
+    quantized.build(x, topt.max_bins, pool ? &*pool : nullptr);
+  }
   const QuantizedDataset* q = histogram ? &quantized : nullptr;
 
   trees_.assign(opt.num_trees, DecisionTree{});
@@ -55,20 +63,28 @@ void RandomForest::fit(const data::Matrix& x, std::span<const int> y, const Fore
 
   auto fit_tree = [&](std::size_t t) {
     util::Rng& local = streams[t];
-    std::vector<std::size_t> idx(boot);
-    for (auto& i : idx) i = local.uniform_index(n);
-    trees_[t].fit(x, y, idx, topt, local, q);
-    // Record the in-bag set (sorted, unique) for OOB importance.
-    std::sort(idx.begin(), idx.end());
-    idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-    inbag_[t] = std::move(idx);
+    // Draw the bootstrap as per-row counts; the tree grows on each
+    // distinct in-bag row once, weighted by how often it was drawn.
+    std::vector<std::uint32_t> drawn(n, 0);
+    for (std::size_t k = 0; k < boot; ++k) ++drawn[local.uniform_index(n)];
+    std::vector<std::size_t> rows;
+    std::vector<std::uint32_t> counts;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (drawn[i] == 0) continue;
+      rows.push_back(i);
+      counts.push_back(drawn[i]);
+    }
+    trees_[t].fit(x, y, rows, counts, topt, local, q);
+    inbag_[t] = std::move(rows);  // ascending and unique: the OOB complement's input
   };
 
-  if (opt.num_threads > 1) {
-    util::ThreadPool pool(opt.num_threads);
-    pool.parallel_for(opt.num_trees, fit_tree);
-  } else {
-    for (std::size_t t = 0; t < opt.num_trees; ++t) fit_tree(t);
+  {
+    obs::Span grow_span(obs, "forest:grow");
+    if (pool) {
+      pool->parallel_for(opt.num_trees, fit_tree);
+    } else {
+      for (std::size_t t = 0; t < opt.num_trees; ++t) fit_tree(t);
+    }
   }
 
   // Compile the fitted trees into the flattened SoA inference engine;

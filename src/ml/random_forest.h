@@ -40,14 +40,19 @@ struct ForestOptions {
 class RandomForest {
  public:
   /// Fits `opt.num_trees` trees on bootstrap resamples of (x, y).
-  /// Deterministic for a given seed, including in threaded mode (each
-  /// tree gets its own pre-forked stream). When histogram splitting is
-  /// in effect (see TreeOptions::split_method) the dataset is quantized
-  /// once here and shared read-only by every tree.
+  /// Each bootstrap is drawn as per-row counts, and its tree grows on
+  /// the distinct in-bag rows weighted by those counts (see
+  /// DecisionTree::fit) — bit-identical to growing on the repeated
+  /// indices. Deterministic for a given seed, including in threaded mode
+  /// (each tree gets its own pre-forked stream). When histogram
+  /// splitting is in effect (see TreeOptions::split_method) the dataset
+  /// is quantized once here and shared read-only by every tree. `x`
+  /// must be finite.
   ///
-  /// `obs` (nullable) wraps the fit in a "forest:fit" span, counts the
-  /// trees fitted, and records the wall time in the
-  /// wefr_forest_fit_seconds histogram.
+  /// `obs` (nullable) wraps the fit in a "forest:fit" span with
+  /// "forest:quantize" (the binning), "forest:grow" (the tree loop) and
+  /// "forest:flatten" children, counts the trees fitted, and records
+  /// the wall time in the wefr_forest_fit_seconds histogram.
   void fit(const data::Matrix& x, std::span<const int> y, const ForestOptions& opt,
            util::Rng& rng, const obs::Context* obs = nullptr);
 
@@ -122,7 +127,8 @@ class RandomForest {
   const FlatForest& flat_ref() const;
 
   std::vector<DecisionTree> trees_;
-  /// Per tree: sorted unique in-bag row indices (for OOB importance).
+  /// Per tree: the distinct in-bag rows it grew on, ascending (for OOB
+  /// importance).
   std::vector<std::vector<std::size_t>> inbag_;
   std::size_t num_features_ = 0;
   /// SoA-compiled twin of trees_, rebuilt at the end of fit()/load();

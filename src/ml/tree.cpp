@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
@@ -25,7 +26,6 @@ struct SplitCandidate {
   bool valid = false;
   double threshold = 0.0;
   double impurity_decrease = -1.0;  // weighted by node fraction later
-  std::size_t left_count = 0;
 };
 
 }  // namespace
@@ -35,45 +35,58 @@ struct SplitCandidate {
 /// reallocated at every node (candidate features, the exact splitter's
 /// sort scratch, the histogram accumulators).
 struct DecisionTree::BuildContext {
+  /// Exact splitter entry: one distinct row's value, weight and the
+  /// positive part of that weight.
+  struct ValueCount {
+    double value;
+    std::uint32_t count;
+    std::uint32_t pos;
+  };
+
   const data::Matrix& x;
   std::span<const int> y;
   const TreeOptions& opt;
   util::Rng& rng;
-  std::size_t n_total = 0;
+  std::size_t n_total = 0;  ///< weighted sample count of the whole fit
   /// Non-null selects histogram split finding.
   const QuantizedDataset* quantized = nullptr;
 
   std::vector<std::size_t> features;
-  std::vector<std::pair<double, int>> sorted;  ///< exact: (value, label)
-  std::vector<std::size_t> bin_count;          ///< histogram: samples per bin
-  std::vector<std::size_t> bin_pos;            ///< histogram: positives per bin
+  std::vector<ValueCount> sorted;       ///< exact: node entries by value
+  std::vector<std::size_t> bin_count;  ///< histogram: weighted samples per bin
+  std::vector<std::size_t> bin_pos;    ///< histogram: weighted positives per bin
 };
 
 namespace {
 
-SplitCandidate best_split_exact(const DecisionTree::BuildContext& ctx_const,
-                                std::vector<std::pair<double, int>>& scratch,
-                                std::span<const std::size_t> idx, std::size_t feature,
-                                std::size_t node_pos) {
-  const data::Matrix& x = ctx_const.x;
-  std::span<const int> y = ctx_const.y;
-  const TreeOptions& opt = ctx_const.opt;
+using Sample = DecisionTree::Sample;
 
-  const std::size_t n = idx.size();
+/// `n` and `node_pos` are the node's weighted size and positives. Entries
+/// sort by value alone; each run of equal values is accumulated before
+/// its boundary is scored, so the candidates, thresholds and tie-breaks
+/// are those of a sort over every repeated sample.
+SplitCandidate best_split_exact(DecisionTree::BuildContext& ctx,
+                                std::span<const Sample> node, std::size_t feature,
+                                std::size_t n, std::size_t node_pos) {
+  const data::Matrix& x = ctx.x;
+  const TreeOptions& opt = ctx.opt;
+
+  auto& scratch = ctx.sorted;
   scratch.clear();
-  scratch.reserve(n);
-  for (std::size_t i : idx) scratch.emplace_back(x(i, feature), y[i]);
-  std::sort(scratch.begin(), scratch.end());
+  for (const Sample& s : node)
+    scratch.push_back({x(s.row, feature), s.count, ctx.y[s.row] != 0 ? s.count : 0u});
+  std::sort(scratch.begin(), scratch.end(),
+            [](const auto& a, const auto& b) { return a.value < b.value; });
 
   SplitCandidate best;
-  if (scratch.front().first == scratch.back().first) return best;  // constant feature
+  if (scratch.front().value == scratch.back().value) return best;  // constant feature
 
   const double parent = gini(node_pos, n);
-  std::size_t pos_left = 0;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    pos_left += scratch[i].second != 0 ? 1 : 0;
-    if (scratch[i].first == scratch[i + 1].first) continue;  // not a boundary
-    const std::size_t n_left = i + 1;
+  std::size_t n_left = 0, pos_left = 0;
+  for (std::size_t i = 0; i + 1 < scratch.size(); ++i) {
+    n_left += scratch[i].count;
+    pos_left += scratch[i].pos;
+    if (scratch[i].value == scratch[i + 1].value) continue;  // not a boundary
     const std::size_t n_right = n - n_left;
     if (n_left < opt.min_samples_leaf || n_right < opt.min_samples_leaf) continue;
     const std::size_t pos_right = node_pos - pos_left;
@@ -86,18 +99,18 @@ SplitCandidate best_split_exact(const DecisionTree::BuildContext& ctx_const,
       best.valid = true;
       best.impurity_decrease = decrease;
       // Midpoint threshold; `x <= threshold` routes left.
-      best.threshold = scratch[i].first + (scratch[i + 1].first - scratch[i].first) / 2.0;
+      const double lo = scratch[i].value, hi = scratch[i + 1].value;
+      best.threshold = lo + (hi - lo) / 2.0;
       // Guard: midpoint can round to the upper value for adjacent doubles.
-      if (best.threshold >= scratch[i + 1].first) best.threshold = scratch[i].first;
-      best.left_count = n_left;
+      if (best.threshold >= hi) best.threshold = lo;
     }
   }
   return best;
 }
 
 SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
-                                    std::span<const std::size_t> idx, std::size_t feature,
-                                    std::size_t node_pos) {
+                                    std::span<const Sample> node, std::size_t feature,
+                                    std::size_t n, std::size_t node_pos) {
   const QuantizedDataset& q = *ctx.quantized;
   const TreeOptions& opt = ctx.opt;
   const std::size_t bins = q.num_bins(feature);
@@ -110,13 +123,12 @@ SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
   auto& pos = ctx.bin_pos;
   std::fill(cnt.begin(), cnt.begin() + static_cast<std::ptrdiff_t>(bins), 0);
   std::fill(pos.begin(), pos.begin() + static_cast<std::ptrdiff_t>(bins), 0);
-  for (std::size_t i : idx) {
-    const std::uint8_t b = codes[i];
-    ++cnt[b];
-    pos[b] += ctx.y[i] != 0 ? 1 : 0;
+  for (const Sample& s : node) {
+    const std::uint8_t b = codes[s.row];
+    cnt[b] += s.count;
+    pos[b] += ctx.y[s.row] != 0 ? s.count : 0;
   }
 
-  const std::size_t n = idx.size();
   const double parent = gini(node_pos, n);
   // Scan boundaries between consecutive *node-occupied* bins so the
   // threshold is the midpoint of the node's adjacent raw values — the
@@ -138,7 +150,6 @@ SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
           best.valid = true;
           best.impurity_decrease = decrease;
           best.threshold = q.threshold_between(feature, prev, b);
-          best.left_count = n_left;
         }
       }
     }
@@ -152,10 +163,24 @@ SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
 }  // namespace
 
 void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
-                       std::span<const std::size_t> sample_idx, const TreeOptions& opt,
-                       util::Rng& rng, const QuantizedDataset* quantized) {
+                       std::span<const std::size_t> rows, std::span<const std::uint32_t> counts,
+                       const TreeOptions& opt, util::Rng& rng,
+                       const QuantizedDataset* quantized) {
   if (x.rows() != y.size()) throw std::invalid_argument("DecisionTree::fit: shape mismatch");
-  if (sample_idx.empty()) throw std::invalid_argument("DecisionTree::fit: no samples");
+  if (rows.size() != counts.size())
+    throw std::invalid_argument("DecisionTree::fit: rows/counts size mismatch");
+  if (rows.empty()) throw std::invalid_argument("DecisionTree::fit: no samples");
+  if (x.rows() > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("DecisionTree::fit: too many rows");
+
+  std::vector<Sample> samples(rows.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] >= x.rows()) throw std::invalid_argument("DecisionTree::fit: row out of range");
+    if (counts[i] == 0) throw std::invalid_argument("DecisionTree::fit: zero count");
+    samples[i] = {static_cast<std::uint32_t>(rows[i]), counts[i]};
+    total += counts[i];
+  }
 
   bool histogram = false;
   switch (opt.split_method) {
@@ -166,7 +191,7 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
       histogram = true;
       break;
     case SplitMethod::kAuto:
-      histogram = quantized != nullptr || sample_idx.size() >= opt.histogram_cutoff;
+      histogram = quantized != nullptr || total >= opt.histogram_cutoff;
       break;
   }
 
@@ -185,42 +210,46 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
 
   nodes_.clear();
   importance_.assign(x.cols(), 0.0);
-  std::vector<std::size_t> idx(sample_idx.begin(), sample_idx.end());
-  // Worst case: every leaf holds min_samples_leaf samples, so there are
-  // at most n/leaf leaves and 2*(n/leaf) - 1 nodes; the depth limit
-  // bounds the count independently at 2^(depth+1) - 1.
-  const std::size_t by_leaf =
-      2 * (idx.size() / std::max<std::size_t>(1, opt.min_samples_leaf)) + 1;
+  // Every leaf holds at least one distinct row and min_samples_leaf
+  // weighted samples, which bounds the leaves and so the 2*leaves - 1
+  // nodes; the depth limit bounds the count independently at
+  // 2^(depth+1) - 1.
+  const std::size_t max_leaves =
+      std::min(samples.size(), total / std::max<std::size_t>(1, opt.min_samples_leaf));
+  const std::size_t by_leaf = 2 * max_leaves + 1;
   const std::size_t by_depth =
       opt.max_depth < 30 ? (std::size_t{2} << opt.max_depth) - 1 : by_leaf;
   nodes_.reserve(std::min(by_leaf, by_depth));
 
-  BuildContext ctx{x, y, opt, rng, idx.size(), q, {}, {}, {}, {}};
+  BuildContext ctx{x, y, opt, rng, total, q, {}, {}, {}, {}};
   if (q != nullptr) {
     std::size_t most_bins = 0;
     for (std::size_t f = 0; f < x.cols(); ++f) most_bins = std::max(most_bins, q->num_bins(f));
     ctx.bin_count.resize(most_bins);
     ctx.bin_pos.resize(most_bins);
   }
-  build(ctx, idx, 0, idx.size(), 0);
+  build(ctx, samples, 0, samples.size(), 0);
 }
 
 void DecisionTree::fit(const data::Matrix& x, std::span<const int> y, const TreeOptions& opt,
                        util::Rng& rng) {
-  std::vector<std::size_t> idx(x.rows());
-  std::iota(idx.begin(), idx.end(), 0);
-  fit(x, y, idx, opt, rng);
+  std::vector<std::size_t> rows(x.rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  const std::vector<std::uint32_t> counts(x.rows(), 1);
+  fit(x, y, rows, counts, opt, rng);
 }
 
-std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<std::size_t>& idx,
+std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<Sample>& samples,
                                  std::size_t begin, std::size_t end, int depth) {
   const data::Matrix& x = ctx.x;
   std::span<const int> y = ctx.y;
   const TreeOptions& opt = ctx.opt;
 
-  const std::size_t n = end - begin;
-  std::size_t node_pos = 0;
-  for (std::size_t i = begin; i < end; ++i) node_pos += y[idx[i]] != 0 ? 1 : 0;
+  std::size_t n = 0, node_pos = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    n += samples[i].count;
+    node_pos += y[samples[i].row] != 0 ? samples[i].count : 0;
+  }
 
   const std::int32_t me = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();
@@ -242,7 +271,7 @@ std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<std::size_t>& id
     ctx.rng.sample_without_replacement(nf, opt.max_features, features);
   }
 
-  std::span<const std::size_t> node_idx(idx.data() + begin, n);
+  std::span<const Sample> node(samples.data() + begin, end - begin);
   // Histogram search on large nodes; small nodes fall back to the exact
   // sort (cheap there, and global bin edges are too coarse for them).
   const bool use_histogram =
@@ -250,9 +279,8 @@ std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<std::size_t>& id
   SplitCandidate best;
   std::size_t best_feature = 0;
   for (std::size_t f : features) {
-    const SplitCandidate cand =
-        use_histogram ? best_split_histogram(ctx, node_idx, f, node_pos)
-                      : best_split_exact(ctx, ctx.sorted, node_idx, f, node_pos);
+    const SplitCandidate cand = use_histogram ? best_split_histogram(ctx, node, f, n, node_pos)
+                                              : best_split_exact(ctx, node, f, n, node_pos);
     if (cand.valid && (!best.valid || cand.impurity_decrease > best.impurity_decrease)) {
       best = cand;
       best_feature = f;
@@ -262,10 +290,10 @@ std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<std::size_t>& id
 
   // Partition [begin, end) by the chosen split.
   const auto mid_it = std::partition(
-      idx.begin() + static_cast<std::ptrdiff_t>(begin),
-      idx.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t i) { return x(i, best_feature) <= best.threshold; });
-  const std::size_t mid = static_cast<std::size_t>(mid_it - idx.begin());
+      samples.begin() + static_cast<std::ptrdiff_t>(begin),
+      samples.begin() + static_cast<std::ptrdiff_t>(end),
+      [&](const Sample& s) { return x(s.row, best_feature) <= best.threshold; });
+  const std::size_t mid = static_cast<std::size_t>(mid_it - samples.begin());
   if (mid == begin || mid == end) return me;  // numeric edge case: degenerate partition
 
   importance_[best_feature] +=
@@ -273,9 +301,9 @@ std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<std::size_t>& id
 
   nodes_[me].feature = static_cast<std::int32_t>(best_feature);
   nodes_[me].threshold = best.threshold;
-  const std::int32_t left = build(ctx, idx, begin, mid, depth + 1);
+  const std::int32_t left = build(ctx, samples, begin, mid, depth + 1);
   nodes_[me].left = left;
-  const std::int32_t right = build(ctx, idx, mid, end, depth + 1);
+  const std::int32_t right = build(ctx, samples, mid, end, depth + 1);
   nodes_[me].right = right;
   return me;
 }

@@ -53,17 +53,27 @@ struct TreeOptions {
 /// impurity-decrease feature importance during training.
 class DecisionTree {
  public:
-  /// Fits the tree on rows `sample_idx` of `x` (indices may repeat — the
-  /// forest passes bootstrap samples). `rng` is consumed only when
+  /// Fits the tree on a weighted sample of `x`: row `rows[i]` counts
+  /// `counts[i]` times (> 0). The forest passes each distinct in-bag row
+  /// of a bootstrap once, with the number of times it was drawn. Every
+  /// size the fit uses is the weighted total — node sizes and positives,
+  /// `histogram_cutoff`, `exact_node_cutoff`, `min_samples_split`,
+  /// `min_samples_leaf`, leaf probabilities and importance weights — so
+  /// the tree equals one grown on a matrix with each row physically
+  /// repeated `counts[i]` times. Rows should be distinct; a repeated row
+  /// acts as one row with the summed count.
+  ///
+  /// `x` must be finite (the data layer imputes NaNs): split search sorts
+  /// and compares raw values. `rng` is consumed only when
   /// `opt.max_features > 0`. When histogram splitting is in effect a
   /// caller that already quantized `x` (the forest quantizes once and
   /// shares across trees) passes it as `quantized`; otherwise the tree
   /// quantizes locally.
-  void fit(const data::Matrix& x, std::span<const int> y,
-           std::span<const std::size_t> sample_idx, const TreeOptions& opt, util::Rng& rng,
+  void fit(const data::Matrix& x, std::span<const int> y, std::span<const std::size_t> rows,
+           std::span<const std::uint32_t> counts, const TreeOptions& opt, util::Rng& rng,
            const QuantizedDataset* quantized = nullptr);
 
-  /// Convenience fit over all rows.
+  /// Convenience fit over all rows, each counted once.
   void fit(const data::Matrix& x, std::span<const int> y, const TreeOptions& opt,
            util::Rng& rng);
 
@@ -86,8 +96,13 @@ class DecisionTree {
   /// malformed input.
   void load(std::istream& is);
 
+  /// One distinct training row and its weight (see fit()).
+  struct Sample {
+    std::uint32_t row;
+    std::uint32_t count;
+  };
   /// Buffers reused across every node of one fit (defined in tree.cpp;
-  /// public so the file-local split helpers can name it).
+  /// public, like Sample, so the file-local split helpers can name it).
   struct BuildContext;
 
  private:
@@ -105,7 +120,7 @@ class DecisionTree {
     std::int32_t depth = 0;
   };
 
-  std::int32_t build(BuildContext& ctx, std::vector<std::size_t>& idx, std::size_t begin,
+  std::int32_t build(BuildContext& ctx, std::vector<Sample>& samples, std::size_t begin,
                      std::size_t end, int depth);
 
   std::vector<Node> nodes_;

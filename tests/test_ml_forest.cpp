@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
 
+#include "core/ranker.h"
 #include "data/matrix.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
@@ -349,6 +354,78 @@ TEST(RandomForest, ThreadedHistogramFitMatchesSequential) {
   fp.fit(x, y, par, r2);
   for (std::size_t i = 0; i < 30; ++i)
     EXPECT_DOUBLE_EQ(fs.predict_proba(x.row(i)), fp.predict_proba(x.row(i)));
+}
+
+// ---------- pinned model digests ----------
+
+/// FNV-1a over `bytes`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* bytes, std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Hash of a fitted forest's save() text plus the bits of its OOB
+/// permutation importance on the training set.
+std::string forest_digest(const Matrix& x, const std::vector<int>& y, const ForestOptions& opt,
+                          std::uint64_t seed) {
+  util::Rng rng(seed);
+  RandomForest forest;
+  forest.fit(x, y, opt, rng);
+  std::ostringstream os;
+  forest.save(os);
+  const std::string text = os.str();
+  std::uint64_t h = fnv1a(14695981039346656037ULL, text.data(), text.size());
+  for (double v : forest.oob_permutation_importance(x, y, rng)) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = fnv1a(h, &bits, sizeof bits);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+/// 2400 rows: enough for the histogram splitter at the root and the
+/// exact fallback below `exact_node_cutoff`. Continuous columns overflow
+/// the 256-bin budget; the coarse ones have long runs of tied values.
+void make_pinned(Matrix& x, std::vector<int>& y) {
+  util::Rng rng(2024);
+  const std::size_t n = 2400;
+  x = Matrix(n, 8);
+  y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double wear = rng.normal();
+    const int errors = static_cast<int>(rng.uniform_index(6));
+    x(i, 0) = wear;
+    x(i, 1) = static_cast<double>(errors);
+    x(i, 2) = wear + rng.normal(0.0, 0.5);
+    x(i, 3) = static_cast<double>(rng.uniform_index(3));
+    for (std::size_t f = 4; f < 8; ++f) x(i, f) = rng.normal();
+    const bool signal = wear > 0.8 || errors >= 4;
+    y[i] = rng.bernoulli(signal ? 0.6 : 0.08) ? 1 : 0;
+  }
+}
+
+TEST(RandomForest, FitBitIdenticalToPinnedDigest) {
+  Matrix x;
+  std::vector<int> y;
+  make_pinned(x, y);
+
+  ForestOptions paper;  // 100 trees, depth 13, leaf 1
+  ASSERT_EQ(paper.num_trees, 100u);
+  ASSERT_EQ(paper.tree.max_depth, 13);
+  ASSERT_EQ(paper.tree.min_samples_leaf, 1u);
+  const ForestOptions ranker = core::RandomForestRanker::default_options();  // leaf 5
+  ASSERT_EQ(ranker.tree.min_samples_leaf, 5u);
+
+  // Pinned model bits: any change to split search, bootstrap draws or
+  // rng consumption moves them.
+  EXPECT_EQ(forest_digest(x, y, paper, 31), "6f2a7e8128ed0955");
+  EXPECT_EQ(forest_digest(x, y, ranker, 37), "cf72a177b3f6c55d");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "data/matrix.h"
@@ -106,9 +107,11 @@ TEST(DecisionTree, BootstrapIndicesWithRepeats) {
   Matrix x;
   std::vector<int> y;
   make_blobs(50, x, y, rng, 8.0);
-  std::vector<std::size_t> idx(50, 3);  // degenerate bootstrap: one sample
+  // Degenerate bootstrap: one sample drawn 50 times.
+  const std::vector<std::size_t> rows = {3};
+  const std::vector<std::uint32_t> counts = {50};
   DecisionTree tree;
-  tree.fit(x, y, idx, TreeOptions{}, rng);
+  tree.fit(x, y, rows, counts, TreeOptions{}, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_DOUBLE_EQ(tree.predict_proba(x.row(3)), static_cast<double>(y[3]));
 }
@@ -235,14 +238,15 @@ TEST(DecisionTree, SharedQuantizedMatchesLocalQuantization) {
   QuantizedDataset q;
   q.build(x, 256);
 
-  std::vector<std::size_t> idx(x.rows());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::vector<std::size_t> rows(x.rows());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  const std::vector<std::uint32_t> counts(x.rows(), 1);
   TreeOptions opt;
   opt.split_method = SplitMethod::kHistogram;
   util::Rng r1(3), r2(3);
   DecisionTree shared, local;
-  shared.fit(x, y, idx, opt, r1, &q);
-  local.fit(x, y, idx, opt, r2, nullptr);
+  shared.fit(x, y, rows, counts, opt, r1, &q);
+  local.fit(x, y, rows, counts, opt, r2, nullptr);
   EXPECT_EQ(tree_dump(shared), tree_dump(local));
 }
 
@@ -254,13 +258,87 @@ TEST(DecisionTree, SharedQuantizedShapeMismatchThrows) {
   Matrix other(100, 1, 0.0);
   QuantizedDataset q;
   q.build(other);
-  std::vector<std::size_t> idx(x.rows());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::vector<std::size_t> rows(x.rows());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  const std::vector<std::uint32_t> counts(x.rows(), 1);
   TreeOptions opt;
   opt.split_method = SplitMethod::kHistogram;
   util::Rng r(3);
   DecisionTree t;
-  EXPECT_THROW(t.fit(x, y, idx, opt, r, &q), std::invalid_argument);
+  EXPECT_THROW(t.fit(x, y, rows, counts, opt, r, &q), std::invalid_argument);
+}
+
+/// Fits `opt` on (rows, counts) and on a matrix holding `counts[i]`
+/// physical copies of row `rows[i]`; the two dumps must match.
+void expect_counts_match_copies(const Matrix& x, const std::vector<int>& y,
+                                const std::vector<std::size_t>& rows,
+                                const std::vector<std::uint32_t>& counts, const TreeOptions& opt) {
+  std::size_t total = 0;
+  for (std::uint32_t c : counts) total += c;
+  Matrix copies(total, x.cols());
+  std::vector<int> copy_y;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::uint32_t k = 0; k < counts[i]; ++k) {
+      for (std::size_t f = 0; f < x.cols(); ++f) copies(copy_y.size(), f) = x(rows[i], f);
+      copy_y.push_back(y[rows[i]]);
+    }
+  }
+  util::Rng r1(17), r2(17);
+  DecisionTree weighted, repeated;
+  weighted.fit(x, y, rows, counts, opt, r1);
+  repeated.fit(copies, copy_y, opt, r2);
+  EXPECT_EQ(tree_dump(weighted), tree_dump(repeated));
+}
+
+TEST(DecisionTree, CountsMatchMaterializedRepeats) {
+  // Continuous and tied columns: ties put several distinct rows into one
+  // run of equal values, on top of the bootstrap's repeated rows.
+  util::Rng data_rng(26);
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(300, x, y, data_rng, 1.5);
+  Matrix wide(x.rows(), 3);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    wide(i, 0) = x(i, 0);
+    wide(i, 1) = x(i, 1);
+    wide(i, 2) = static_cast<double>(data_rng.uniform_index(4));
+  }
+
+  std::vector<std::uint32_t> drawn(wide.rows(), 0);
+  for (std::size_t k = 0; k < wide.rows(); ++k) ++drawn[data_rng.uniform_index(wide.rows())];
+  std::vector<std::size_t> rows;
+  std::vector<std::uint32_t> counts;
+  for (std::size_t i = 0; i < drawn.size(); ++i) {
+    if (drawn[i] == 0) continue;
+    rows.push_back(i);
+    counts.push_back(drawn[i]);
+  }
+  ASSERT_LT(rows.size(), wide.rows());  // the bootstrap did repeat rows
+
+  for (const std::size_t leaf : {std::size_t{1}, std::size_t{5}}) {
+    SCOPED_TRACE(leaf);
+    TreeOptions opt;
+    opt.split_method = SplitMethod::kExact;
+    opt.min_samples_leaf = leaf;
+    opt.max_features = 2;  // the rng picks candidates, as in a forest
+    expect_counts_match_copies(wide, y, rows, counts, opt);
+  }
+}
+
+TEST(DecisionTree, RejectsBadCounts) {
+  util::Rng rng(27);
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(10, x, y, rng);
+  const std::vector<std::size_t> rows = {0, 1};
+  const std::vector<std::uint32_t> one = {1};
+  const std::vector<std::uint32_t> zero = {1, 0};
+  const std::vector<std::size_t> out_of_range = {0, 10};
+  const std::vector<std::uint32_t> ones = {1, 1};
+  DecisionTree t;
+  EXPECT_THROW(t.fit(x, y, rows, one, TreeOptions{}, rng), std::invalid_argument);
+  EXPECT_THROW(t.fit(x, y, rows, zero, TreeOptions{}, rng), std::invalid_argument);
+  EXPECT_THROW(t.fit(x, y, out_of_range, ones, TreeOptions{}, rng), std::invalid_argument);
 }
 
 TEST(DecisionTree, HistogramCloseToExactOnContinuousData) {

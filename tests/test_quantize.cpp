@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
 #include "data/matrix.h"
 #include "ml/quantize.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace wefr::ml {
 namespace {
@@ -132,6 +134,32 @@ TEST(QuantizedDataset, MaxBinsClamped) {
   QuantizedDataset q2;
   q2.build(x, 100000);  // clamped down to 256 (codes are uint8)
   EXPECT_LE(q2.num_bins(0), 256u);
+}
+
+TEST(QuantizedDataset, PoolBuildMatchesSerial) {
+  // More columns than blocks, mixing continuous, tied and constant ones.
+  util::Rng rng(9);
+  Matrix x(700, 37);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+      if (f % 3 == 0) x(i, f) = rng.normal();
+      if (f % 3 == 1) x(i, f) = static_cast<double>(rng.uniform_index(5));
+      if (f % 3 == 2) x(i, f) = 1.0;
+    }
+  }
+  QuantizedDataset serial, pooled;
+  serial.build(x, 64);
+  util::ThreadPool pool(3);
+  pooled.build(x, 64, &pool);
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    ASSERT_EQ(serial.num_bins(f), pooled.num_bins(f));
+    for (std::size_t b = 0; b < serial.num_bins(f); ++b) {
+      EXPECT_EQ(serial.bin_lower(f, b), pooled.bin_lower(f, b));
+      EXPECT_EQ(serial.bin_upper(f, b), pooled.bin_upper(f, b));
+    }
+    const auto a = serial.codes(f), c = pooled.codes(f);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), c.begin()));
+  }
 }
 
 TEST(QuantizedDataset, ThrowsOnEmptyMatrix) {
