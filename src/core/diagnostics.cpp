@@ -18,6 +18,18 @@ std::string PipelineDiagnostics::summary() const {
   return os.str();
 }
 
+void PipelineDiagnostics::append(const PipelineDiagnostics& other) {
+  for (const auto& e : other.events) note(e.stage, e.code, e.detail);
+  rankers_failed += other.rankers_failed;
+  scores_sanitized += other.scores_sanitized;
+  constant_features += other.constant_features;
+  survival_drives_skipped += other.survival_drives_skipped;
+  score_days_rerouted += other.score_days_rerouted;
+  score_drives_missing_features += other.score_drives_missing_features;
+  selection_degraded = selection_degraded || other.selection_degraded;
+  wearout_skipped = wearout_skipped || other.wearout_skipped;
+}
+
 void PipelineDiagnostics::bump(const std::string& code) const {
   registry_->counter("wefr_diag_events_total").add(1);
   registry_->counter("wefr_diag_" + code + "_total").add(1);

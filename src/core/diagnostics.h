@@ -51,6 +51,14 @@ struct PipelineDiagnostics {
   }
   bool empty() const { return events.empty(); }
 
+  /// Appends `other`'s ledger as if its events had been noted here, in
+  /// order: events replay through note() (so an attached registry counts
+  /// each exactly once) and the structured counters add up. Stages that
+  /// run concurrently record into ledgers of their own and are appended
+  /// after the join in serial order, so the merged ledger does not
+  /// depend on the thread count. `other` must not be `*this`.
+  void append(const PipelineDiagnostics& other);
+
   /// Bridges future note() calls into `registry` as live counters:
   /// every event increments wefr_diag_events_total plus a per-code
   /// wefr_diag_<code>_total. Pass nullptr to detach. Events recorded

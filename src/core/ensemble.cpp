@@ -48,12 +48,7 @@ RankerRawScores ensemble_score_rankers(std::span<const std::unique_ptr<FeatureRa
   // per-ranker work is smaller than the thread handoff it would buy.
   const bool pool_can_win =
       util::default_thread_count() > 1 && x.rows() * x.cols() >= 4096;
-  if (opt.num_threads > 1 && k > 1 && pool_can_win) {
-    util::ThreadPool pool(std::min(opt.num_threads, k));
-    pool.parallel_for(k, run_one);
-  } else {
-    for (std::size_t i = 0; i < k; ++i) run_one(i);
-  }
+  util::run_tasks(pool_can_win ? opt.num_threads : 1, k, run_one);
   return raw;
 }
 

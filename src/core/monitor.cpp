@@ -45,7 +45,11 @@ void FleetMonitor::run_check(int day) {
   const int train_end = day - 1;
   const auto samples = build_selection_samples(fleet_, 0, train_end, opt_.experiment);
   if (samples.num_positive() == 0) return;  // nothing to learn from yet
-  WefrResult sel = run_wefr(fleet_, samples, train_end, opt_.wefr);
+  // The experiment's thread knob covers selection as well when the WEFR
+  // knob is left at 0; results do not depend on either.
+  WefrOptions wopt = opt_.wefr;
+  if (wopt.num_threads == 0) wopt.num_threads = opt_.experiment.num_threads;
+  WefrResult sel = run_wefr(fleet_, samples, train_end, wopt);
 
   UpdateEvent ev;
   ev.day = day;

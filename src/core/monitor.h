@@ -48,6 +48,8 @@ struct MonitorOptions {
   int drift_cooldown_days = 14;
   changepoint::CpdOptions drift_cpd;
   ExperimentConfig experiment;
+  /// Re-check selection; `wefr.num_threads == 0` takes
+  /// `experiment.num_threads`.
   WefrOptions wefr;
 };
 

@@ -1,10 +1,13 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <exception>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "data/window_features.h"
 #include "obs/context.h"
@@ -36,6 +39,55 @@ data::SamplingOptions sampling_for(const ExperimentConfig& cfg, int day_lo, int 
   return opt;
 }
 
+/// One bundle to sample and fit.
+struct BundleJob {
+  std::string label;                     ///< "all", "low", or "high"
+  std::span<const std::size_t> base_cols;
+  std::function<bool(std::size_t, int)> keep;  ///< sample filter; empty = every row
+  std::uint64_t seed;
+  /// Smallest sample set worth a model; a smaller one yields no bundle.
+  std::size_t min_rows = 1;
+  std::size_t min_positives = 0;
+};
+
+/// Samples the job's training rows and fits its forest, under a
+/// "train_bundle:<label>" span parented on `parent_span` when non-zero
+/// (bundle fits run on pool workers) and on the calling thread's open
+/// span otherwise. Returns nullopt when the sample set is too small.
+std::optional<PredictorBundle> fit_bundle(const data::FleetData& fleet, const BundleJob& job,
+                                          int day_lo, int day_hi, const ExperimentConfig& cfg,
+                                          const obs::Context* obs, std::uint64_t parent_span) {
+  const std::string span_name = "train_bundle:" + job.label;
+  obs::Span span = parent_span != 0 ? obs::Span(obs, span_name.c_str(), parent_span)
+                                    : obs::Span(obs, span_name.c_str());
+  util::Rng rng(job.seed);
+  data::SamplingOptions opt = sampling_for(cfg, day_lo, day_hi, /*downsample=*/true);
+  opt.keep = job.keep;
+  data::Dataset train = data::build_samples(fleet, job.base_cols, opt, &rng, obs);
+  if (train.size() < job.min_rows || train.num_positive() < job.min_positives)
+    return std::nullopt;
+
+  PredictorBundle bundle;
+  bundle.base_cols.assign(job.base_cols.begin(), job.base_cols.end());
+  bundle.forest.fit(train.x, train.y, forest_options_for(cfg), rng, obs);
+  return bundle;
+}
+
+/// The whole-model bundle: every sample row the filter keeps, seeded by
+/// its feature set.
+PredictorBundle fit_whole_model(const data::FleetData& fleet,
+                                std::span<const std::size_t> base_cols, int day_lo, int day_hi,
+                                const ExperimentConfig& cfg,
+                                const std::function<bool(std::size_t, int)>& sample_filter,
+                                const obs::Context* obs, std::uint64_t parent_span) {
+  if (base_cols.empty()) throw std::invalid_argument("train_bundle: no base features");
+  const BundleJob job{"all", base_cols, sample_filter,
+                      cfg.seed ^ (0x9e3779b9ULL + base_cols.size() * 131 + base_cols[0])};
+  auto bundle = fit_bundle(fleet, job, day_lo, day_hi, cfg, obs, parent_span);
+  if (!bundle.has_value()) throw std::runtime_error("train_bundle: no training samples");
+  return std::move(*bundle);
+}
+
 }  // namespace
 
 data::Dataset build_selection_samples(const data::FleetData& fleet, int day_lo, int day_hi,
@@ -55,19 +107,7 @@ PredictorBundle train_bundle(const data::FleetData& fleet,
                              const ExperimentConfig& cfg,
                              const std::function<bool(std::size_t, int)>& sample_filter,
                              const obs::Context* obs) {
-  obs::Span span(obs, "train_bundle");
-  if (base_cols.empty()) throw std::invalid_argument("train_bundle: no base features");
-  util::Rng rng(cfg.seed ^ (0x9e3779b9ULL + base_cols.size() * 131 + base_cols[0]));
-
-  data::SamplingOptions opt = sampling_for(cfg, day_lo, day_hi, /*downsample=*/true);
-  opt.keep = sample_filter;
-  data::Dataset train = data::build_samples(fleet, base_cols, opt, &rng, obs);
-  if (train.size() == 0) throw std::runtime_error("train_bundle: no training samples");
-
-  PredictorBundle bundle;
-  bundle.base_cols.assign(base_cols.begin(), base_cols.end());
-  bundle.forest.fit(train.x, train.y, forest_options_for(cfg), rng, obs);
-  return bundle;
+  return fit_whole_model(fleet, base_cols, day_lo, day_hi, cfg, sample_filter, obs, 0);
 }
 
 WefrPredictor train_predictor(const data::FleetData& fleet,
@@ -86,13 +126,9 @@ WefrPredictor train_predictor(const data::FleetData& fleet, const WefrResult& se
   obs::Span span(obs, "train_predictor");
   WefrPredictor pred;
   pred.mwi_col = fleet.feature_index("MWI_N");
-  pred.all = train_bundle(fleet, sel.all.selected, day_lo, day_hi, cfg, {}, obs);
-
-  if (!sel.change_point.has_value() || !sel.low.has_value() || !sel.high.has_value() ||
-      pred.mwi_col < 0) {
-    return pred;
-  }
-  const double thr = sel.change_point->mwi_threshold;
+  const bool grouped = sel.change_point.has_value() && sel.low.has_value() &&
+                       sel.high.has_value() && pred.mwi_col >= 0;
+  const double thr = grouped ? sel.change_point->mwi_threshold : 0.0;
   const std::size_t mwi = static_cast<std::size_t>(pred.mwi_col);
 
   auto group_filter = [&fleet, mwi, thr](bool want_low) {
@@ -119,24 +155,41 @@ WefrPredictor train_predictor(const data::FleetData& fleet, const WefrResult& se
     // no-updating for that group instead of hurting it).
     if (gs.fallback) return std::nullopt;
     try {
-      util::Rng rng(cfg.seed ^ (want_low ? 0xa5a5ULL : 0x5a5aULL));
-      data::SamplingOptions opt = sampling_for(cfg, day_lo, day_hi, /*downsample=*/true);
-      opt.keep = group_filter(want_low);
-      data::Dataset train = data::build_samples(fleet, gs.selected, opt, &rng, obs);
       // A specialized model must beat the whole-model bundle it replaces;
       // starved groups (few positives) reliably do worse, so fall back.
-      if (train.size() < 400 || train.num_positive() < 25) return std::nullopt;
-      PredictorBundle bundle;
-      bundle.base_cols = gs.selected;
-      bundle.forest.fit(train.x, train.y, forest_options_for(cfg), rng, obs);
-      return bundle;
+      const BundleJob job{want_low ? "low" : "high", gs.selected, group_filter(want_low),
+                          cfg.seed ^ (want_low ? 0xa5a5ULL : 0x5a5aULL),
+                          /*min_rows=*/400, /*min_positives=*/25};
+      return fit_bundle(fleet, job, day_lo, day_hi, cfg, obs, span.id());
     } catch (const std::exception&) {
       return std::nullopt;
     }
   };
 
-  pred.low = try_group(*sel.low, /*want_low=*/true);
-  pred.high = try_group(*sel.high, /*want_low=*/false);
+  // The three bundles are independent (each has its own seeded stream,
+  // and a forest fit is identical at any thread count): fit them side by
+  // side, each keeping its own internal fan-out, and resolve in order.
+  std::array<std::optional<PredictorBundle>, 3> bundles;
+  std::exception_ptr all_error;
+  auto run_task = [&](std::size_t i) {
+    if (i == 0) {
+      try {
+        bundles[0] = fit_whole_model(fleet, sel.all.selected, day_lo, day_hi, cfg, {}, obs,
+                                     span.id());
+      } catch (...) {
+        all_error = std::current_exception();
+      }
+    } else {
+      bundles[i] = try_group(i == 1 ? *sel.low : *sel.high, /*want_low=*/i == 1);
+    }
+  };
+  util::run_tasks(cfg.num_threads, grouped ? 3 : 1, run_task);
+
+  if (all_error) std::rethrow_exception(all_error);
+  pred.all = std::move(*bundles[0]);
+  if (!grouped) return pred;
+  pred.low = std::move(bundles[1]);
+  pred.high = std::move(bundles[2]);
   if (pred.low.has_value() || pred.high.has_value()) pred.wear_threshold = thr;
   return pred;
 }

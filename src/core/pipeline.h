@@ -60,7 +60,7 @@ struct WefrPredictor {
 /// features. `sample_filter` (optional) keeps only sample rows for which
 /// it returns true (used to train per-wear-group bundles); it receives
 /// (drive_index, day). `obs` (nullable) wraps sampling and forest
-/// fitting in a "train_bundle" span.
+/// fitting in a "train_bundle:all" span.
 PredictorBundle train_bundle(const data::FleetData& fleet,
                              std::span<const std::size_t> base_cols, int day_lo, int day_hi,
                              const ExperimentConfig& cfg,
@@ -69,8 +69,11 @@ PredictorBundle train_bundle(const data::FleetData& fleet,
 
 /// Trains the predictor corresponding to a WEFR selection result:
 /// whole-model bundle from `sel.all`, and per-group bundles when the
-/// selection has a change point with per-group features. `obs`
-/// (nullable) wraps the whole step in a "train_predictor" span.
+/// selection has a change point with per-group features. The three
+/// bundles train as concurrent tasks when `cfg.num_threads > 1` (inline
+/// otherwise); every bundle is identical at any thread count. `obs`
+/// (nullable) wraps the whole step in a "train_predictor" span, with one
+/// "train_bundle:{all,low,high}" child per bundle fit.
 WefrPredictor train_predictor(const data::FleetData& fleet, const WefrResult& sel,
                               int day_lo, int day_hi, const ExperimentConfig& cfg,
                               const obs::Context* obs = nullptr);

@@ -1,10 +1,13 @@
 #include "core/wefr.h"
 
+#include <array>
+#include <exception>
 #include <stdexcept>
 
 #include "obs/context.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace wefr::core {
 
@@ -36,12 +39,110 @@ std::size_t count_constant_columns(const data::Dataset& samples) {
   return n;
 }
 
+/// Lines 9-15 inputs: the survival curve, its change point, and the
+/// training rows routed to each wear group. `diag` holds the events the
+/// sequential algorithm notes between the whole-model selection and the
+/// per-group re-selections.
+struct WearSplit {
+  SurvivalCurve survival;
+  std::optional<WearChangePoint> change_point;
+  std::vector<std::size_t> low_idx, high_idx;
+  PipelineDiagnostics diag;
+};
+
+WearSplit split_by_wear(const data::FleetData& fleet, const data::Dataset& train,
+                        int train_day_end, const WefrOptions& opt, const obs::Context* obs) {
+  WearSplit out;
+  const int mwi_col = fleet.feature_index("MWI_N");
+  if (mwi_col < 0) {
+    // Model without a wear indicator: nothing to update.
+    out.diag.wearout_skipped = true;
+    out.diag.note("survival", "no_mwi_feature");
+    return out;
+  }
+
+  {
+    obs::Span survival_span(obs, "survival");
+    out.survival = survival_vs_mwi(fleet, train_day_end, opt.survival_min_count,
+                                   opt.survival_bucket_width);
+  }
+  if (out.survival.drives_skipped_nan > 0) {
+    out.diag.survival_drives_skipped += out.survival.drives_skipped_nan;
+    out.diag.note("survival", "drives_skipped_nan_mwi",
+                  std::to_string(out.survival.drives_skipped_nan) + " drives");
+  }
+  {
+    obs::Span cpd_span(obs, "cpd");
+    out.change_point = detect_wear_change_point(out.survival, opt.cpd);
+  }
+  if (!out.change_point.has_value()) {
+    out.diag.wearout_skipped = true;
+    out.diag.note("cpd",
+                  out.survival.mwi.size() < 8 ? "curve_too_short" : "no_significant_change",
+                  std::to_string(out.survival.mwi.size()) + " curve points");
+    return out;
+  }
+
+  const double thr = out.change_point->mwi_threshold;
+  const std::size_t mwi = static_cast<std::size_t>(mwi_col);
+  std::size_t nan_mwi_samples = 0;
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    const double v = train.x(i, mwi);
+    if (v != v) {
+      // NaN wear indicator: the sample cannot be routed to a group.
+      ++nan_mwi_samples;
+      continue;
+    }
+    (v <= thr ? out.low_idx : out.high_idx).push_back(i);
+  }
+  if (nan_mwi_samples > 0) {
+    out.diag.note("wearout", "samples_unroutable_nan_mwi",
+                  std::to_string(nan_mwi_samples) + " samples");
+  }
+  return out;
+}
+
+/// Re-selects features for one wear group. A group with too few
+/// positives, or one whose selection degrades (all positives), comes back
+/// with `fallback` set and its features left for the caller to inherit
+/// from the whole-model selection.
+GroupSelection select_group(const data::Dataset& train, const std::vector<std::size_t>& idx,
+                            const std::string& label, const WefrOptions& opt,
+                            PipelineDiagnostics* diag, const obs::Context* obs,
+                            std::uint64_t parent_span) {
+  GroupSelection gs;
+  if (!idx.empty()) {
+    const data::Dataset group = data::subset(train, idx);
+    if (group.num_positive() >= opt.min_group_positives) {
+      gs = select_features_for(group, opt, label, diag, obs, parent_span);
+      // A single-class group (all positives) degrades inside
+      // select_features_for; inherit the whole-model set instead of
+      // keeping every feature for just one wear regime.
+      if (!gs.degraded) return gs;
+    }
+    gs.num_samples = group.size();
+    gs.num_positives = group.num_positive();
+  }
+  gs.label = label;
+  gs.fallback = true;
+  return gs;
+}
+
+/// One selection run as a concurrent task, with its own ledger.
+struct GroupTask {
+  GroupSelection selection;
+  PipelineDiagnostics diag;
+  std::exception_ptr error;
+};
+
 }  // namespace
 
 GroupSelection select_features_for(const data::Dataset& samples, const WefrOptions& opt,
                                    const std::string& label, PipelineDiagnostics* diag,
-                                   const obs::Context* obs) {
-  obs::Span span(obs, ("select:" + label).c_str());
+                                   const obs::Context* obs, std::uint64_t parent_span) {
+  const std::string span_name = "select:" + label;
+  obs::Span span = parent_span != 0 ? obs::Span(obs, span_name.c_str(), parent_span)
+                                    : obs::Span(obs, span_name.c_str());
   if (samples.size() == 0 && diag == nullptr)
     throw std::invalid_argument("select_features_for: empty sample set");
 
@@ -102,9 +203,50 @@ WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
     throw std::invalid_argument(
         "run_wefr: train dataset must carry the fleet's base features");
 
+  // Lines 9-15 need only the survival curve and its change point (well
+  // under a millisecond), not the whole-model selection: compute them
+  // first so all three selections can run side by side. Whether Lines
+  // 9-15 apply at all is settled after the join, in serial order.
+  WearSplit split;
+  std::exception_ptr split_error;
+  if (opt.update_with_wearout) {
+    try {
+      split = split_by_wear(fleet, train, train_day_end, opt, obs);
+    } catch (...) {
+      split_error = std::current_exception();
+    }
+  }
+
+  // Lines 1-8 on all samples, plus the per-group re-selections. Each
+  // task writes only its own slot and ledger; the selections keep their
+  // own internal fan-out on the same thread knob.
+  std::array<GroupTask, 3> tasks;
+  const char* const labels[3] = {"all", "low", "high"};
+  auto run_task = [&](std::size_t i) {
+    GroupTask& t = tasks[i];
+    PipelineDiagnostics* sink = diag != nullptr ? &t.diag : nullptr;
+    try {
+      if (i == 0) {
+        t.selection = select_features_for(train, opt, labels[i], sink, obs, run_span.id());
+      } else {
+        t.selection = select_group(train, i == 1 ? split.low_idx : split.high_idx, labels[i],
+                                   opt, sink, obs, run_span.id());
+      }
+    } catch (...) {
+      t.error = std::current_exception();
+    }
+  };
+  util::run_tasks(opt.num_threads, split.change_point.has_value() ? 3 : 1, run_task);
+
+  // Resolve in the serial order: a task's error or ledger surfaces only
+  // where the sequential algorithm would have reached that task.
+  auto take = [diag](GroupTask& t) {
+    if (t.error) std::rethrow_exception(t.error);
+    if (diag != nullptr) diag->append(t.diag);
+    return std::move(t.selection);
+  };
   WefrResult out;
-  // Lines 1-8: ensemble ranking + automated selection on all samples.
-  out.all = select_features_for(train, opt, "all", diag, obs);
+  out.all = take(tasks[0]);
 
   if (!opt.update_with_wearout) return out;
   if (out.all.degraded) {
@@ -117,91 +259,27 @@ WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
     }
     return out;
   }
+  if (split_error) std::rethrow_exception(split_error);
+  if (diag != nullptr) diag->append(split.diag);
+  out.survival = std::move(split.survival);
+  out.change_point = split.change_point;
+  if (!out.change_point.has_value()) return out;
 
-  // Lines 9-15: change-point detection on the survival-rate curve and
-  // per-wear-group re-selection.
-  const int mwi_col = fleet.feature_index("MWI_N");
-  if (mwi_col < 0) {
-    // Model without a wear indicator: nothing to update.
-    if (diag != nullptr) {
-      diag->wearout_skipped = true;
-      diag->note("survival", "no_mwi_feature");
-    }
-    return out;
-  }
-
-  {
-    obs::Span survival_span(obs, "survival");
-    out.survival = survival_vs_mwi(fleet, train_day_end, opt.survival_min_count,
-                                   opt.survival_bucket_width);
-  }
-  if (diag != nullptr && out.survival.drives_skipped_nan > 0) {
-    diag->survival_drives_skipped += out.survival.drives_skipped_nan;
-    diag->note("survival", "drives_skipped_nan_mwi",
-               std::to_string(out.survival.drives_skipped_nan) + " drives");
-  }
-  {
-    obs::Span cpd_span(obs, "cpd");
-    out.change_point = detect_wear_change_point(out.survival, opt.cpd);
-  }
-  if (!out.change_point.has_value()) {
-    if (diag != nullptr) {
-      diag->wearout_skipped = true;
-      diag->note("cpd",
-                 out.survival.mwi.size() < 8 ? "curve_too_short" : "no_significant_change",
-                 std::to_string(out.survival.mwi.size()) + " curve points");
-    }
-    return out;
-  }
-
-  const double thr = out.change_point->mwi_threshold;
-  const std::size_t mwi = static_cast<std::size_t>(mwi_col);
-  std::vector<std::size_t> low_idx, high_idx;
-  std::size_t nan_mwi_samples = 0;
-  for (std::size_t i = 0; i < train.size(); ++i) {
-    const double v = train.x(i, mwi);
-    if (v != v) {
-      // NaN wear indicator: the sample cannot be routed to a group.
-      ++nan_mwi_samples;
-      continue;
-    }
-    (v <= thr ? low_idx : high_idx).push_back(i);
-  }
-  if (diag != nullptr && nan_mwi_samples > 0) {
-    diag->note("wearout", "samples_unroutable_nan_mwi",
-               std::to_string(nan_mwi_samples) + " samples");
-  }
-
-  auto select_group = [&](const std::vector<std::size_t>& idx,
-                          const std::string& label) -> GroupSelection {
-    GroupSelection gs;
-    if (!idx.empty()) {
-      const data::Dataset group = data::subset(train, idx);
-      if (group.num_positive() >= opt.min_group_positives) {
-        gs = select_features_for(group, opt, label, diag, obs);
-        // A single-class group (all positives) degrades inside
-        // select_features_for; inherit the whole-model set instead of
-        // keeping every feature for just one wear regime.
-        if (!gs.degraded) return gs;
-      }
-      gs.num_samples = group.size();
-      gs.num_positives = group.num_positive();
-    }
+  auto resolve_group = [&](GroupTask& t) {
+    GroupSelection gs = take(t);
+    if (!gs.fallback) return gs;
     // Too small (or too degenerate) to re-select robustly: inherit the
     // whole-model features.
-    gs.label = label;
-    gs.fallback = true;
     gs.selected = out.all.selected;
     gs.selected_names = out.all.selected_names;
     if (diag != nullptr)
-      diag->note("group:" + label, "fallback_whole_model",
+      diag->note("group:" + gs.label, "fallback_whole_model",
                  std::to_string(gs.num_positives) + " positives of " +
                      std::to_string(gs.num_samples) + " samples");
     return gs;
   };
-
-  out.low = select_group(low_idx, "low");
-  out.high = select_group(high_idx, "high");
+  out.low = resolve_group(tasks[1]);
+  out.high = resolve_group(tasks[2]);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,11 +86,14 @@ struct WefrResult {
 /// strict contract for programmatic callers).
 ///
 /// `obs` (nullable) wraps the call in a "select:<label>" span and flows
-/// into the ensemble and auto_select stages beneath it.
+/// into the ensemble and auto_select stages beneath it. The span's
+/// parent is `parent_span` when non-zero (for calls on pool workers),
+/// otherwise the innermost span open on the calling thread.
 GroupSelection select_features_for(const data::Dataset& samples, const WefrOptions& opt,
                                    const std::string& label = "all",
                                    PipelineDiagnostics* diag = nullptr,
-                                   const obs::Context* obs = nullptr);
+                                   const obs::Context* obs = nullptr,
+                                   std::uint64_t parent_span = 0);
 
 /// Runs full WEFR (Algorithm 1). `train` must be a base-feature sample
 /// set (no window expansion) whose feature names match `fleet`'s; the
@@ -104,12 +108,20 @@ GroupSelection select_features_for(const data::Dataset& samples, const WefrOptio
 /// fallback — neutral ranking, keep-everything selection, skipped
 /// wear-out split — and records it in `diag` when given.
 ///
-/// `obs` (nullable) wraps the run in a "run_wefr" span with children
-/// for the whole-model selection ("select:all"), the survival-curve
-/// construction ("survival"), change-point detection ("cpd"), and the
-/// per-group re-selections ("select:low" / "select:high").
+/// The survival curve and change point are computed first; then the
+/// whole-model and both per-group selections run as concurrent tasks
+/// when `opt.num_threads > 1` (inline otherwise). Their outcomes are
+/// resolved after the join in serial order, and each task's ledger is
+/// appended to `diag` in the serial order too (all, survival/cpd/
+/// wear-out, low, high).
 ///
-/// The result is bit-identical for any `opt.num_threads`.
+/// `obs` (nullable) wraps the run in a "run_wefr" span with children
+/// for the survival-curve construction ("survival"), change-point
+/// detection ("cpd"), and the selections ("select:all", "select:low",
+/// "select:high", explicitly parented on "run_wefr").
+///
+/// The result and the `diag` ledger are bit-identical for any
+/// `opt.num_threads`.
 WefrResult run_wefr(const data::FleetData& fleet, const data::Dataset& train,
                     int train_day_end, const WefrOptions& opt = {},
                     PipelineDiagnostics* diag = nullptr,

@@ -96,7 +96,12 @@ void Engine::run_check(int day) {
     checks_.push_back(ev);  // nothing to learn from yet
     return;
   }
-  core::WefrResult sel = core::run_wefr(fleet(), samples, train_end, opt_.wefr);
+  // The experiment's thread knob covers selection as well when the WEFR
+  // knob is left at 0 (wefrd --threads sets only the former); results do
+  // not depend on either.
+  core::WefrOptions wopt = opt_.wefr;
+  if (wopt.num_threads == 0) wopt.num_threads = opt_.experiment.num_threads;
+  core::WefrResult sel = core::run_wefr(fleet(), samples, train_end, wopt);
   if (sel.change_point.has_value()) ev.wear_threshold = sel.change_point->mwi_threshold;
   ev.selected_all = sel.all.selected_names;
   ev.features_changed = !selection_.has_value() ||

@@ -20,6 +20,8 @@ namespace wefr::daemon {
 /// Controls for the resident scoring engine.
 struct EngineOptions {
   core::ExperimentConfig experiment;
+  /// Re-check selection; `wefr.num_threads == 0` takes
+  /// `experiment.num_threads`.
   core::WefrOptions wefr;
   /// Run the paper's periodic re-check (feature re-selection + retrain)
   /// in-process as days stream in. Off = the engine only scores with

@@ -444,12 +444,7 @@ FleetData parse_fleet_buffer(std::string_view text, const std::string& model_nam
   };
   {
     obs::Span tokenize_span(obs, "ingest:tokenize");
-    if (threads > 1 && n_chunks > 1) {
-      util::ThreadPool pool(std::min(threads, n_chunks));
-      pool.parallel_for(n_chunks, run_chunk);
-    } else {
-      for (std::size_t c = 0; c < n_chunks; ++c) run_chunk(c);
-    }
+    util::run_tasks(threads, n_chunks, run_chunk);
   }
   obs::add_counter(obs, "wefr_ingest_parse_chunks_total", n_chunks);
 

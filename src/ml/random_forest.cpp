@@ -232,12 +232,7 @@ std::vector<double> RandomForest::permutation_importance(const data::Matrix& x,
     imp[f] = std::max(0.0, drop_sum / static_cast<double>(repeats));
   };
 
-  if (num_threads > 1 && num_features_ > 1) {
-    util::ThreadPool pool(num_threads);
-    pool.parallel_for(num_features_, score_feature);
-  } else {
-    for (std::size_t f = 0; f < num_features_; ++f) score_feature(f);
-  }
+  util::run_tasks(num_threads, num_features_, score_feature);
   return imp;
 }
 
@@ -313,12 +308,7 @@ std::vector<double> RandomForest::oob_permutation_importance(const data::Matrix&
     imp[f] = drop_sum;
   };
 
-  if (num_threads > 1 && num_features_ > 1) {
-    util::ThreadPool pool(num_threads);
-    pool.parallel_for(num_features_, score_feature);
-  } else {
-    for (std::size_t f = 0; f < num_features_; ++f) score_feature(f);
-  }
+  util::run_tasks(num_threads, num_features_, score_feature);
 
   if (trees_with_oob > 0) {
     for (double& v : imp) v = std::max(0.0, v / static_cast<double>(trees_with_oob));

@@ -118,12 +118,7 @@ std::vector<double> ensemble_complexity(std::span<const std::vector<double>> col
   const std::size_t nf = columns.size();
   std::vector<ComplexityMeasures> measures(nf);
   auto scan_one = [&](std::size_t i) { measures[i] = feature_complexity(columns[i], y); };
-  if (num_threads > 1 && nf > 1) {
-    util::ThreadPool pool(std::min(num_threads, nf));
-    pool.parallel_for(nf, scan_one);
-  } else {
-    for (std::size_t i = 0; i < nf; ++i) scan_one(i);
-  }
+  util::run_tasks(num_threads, nf, scan_one);
   return blend_complexity_measures(measures);
 }
 

@@ -99,6 +99,16 @@ void ThreadPool::parallel_for_chunked(std::size_t n, std::size_t min_chunk,
   if (error) std::rethrow_exception(error);
 }
 
+void run_tasks(std::size_t num_threads, std::size_t n,
+               const std::function<void(std::size_t)>& fn) {
+  if (num_threads > 1 && n > 1) {
+    ThreadPool pool(std::min(num_threads, n));
+    pool.parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 std::size_t default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 4 : hw;

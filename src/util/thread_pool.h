@@ -71,6 +71,16 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Runs `fn(i)` for i in [0, n): on a pool of min(n, num_threads)
+/// workers when num_threads > 1 and n > 1, inline in index order
+/// otherwise. The same code runs at any thread count, so when each
+/// iteration writes only its own slot the results cannot depend on it.
+/// Tasks may fan out again internally (the wear groups' selections and
+/// bundle fits do). Exceptions propagate as from
+/// `ThreadPool::parallel_for`.
+void run_tasks(std::size_t num_threads, std::size_t n,
+               const std::function<void(std::size_t)>& fn);
+
 /// Returns a sensible default worker count for this host.
 std::size_t default_thread_count();
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <sstream>
+
 #include "core/pipeline.h"
 #include "smartsim/generator.h"
 
@@ -207,6 +211,75 @@ TEST(Pipeline, ThreadedTrainingMatchesSerial) {
     ASSERT_EQ(ss[i].scores.size(), sp[i].scores.size());
     for (std::size_t d = 0; d < ss[i].scores.size(); ++d)
       EXPECT_DOUBLE_EQ(ss[i].scores[d], sp[i].scores[d]);
+  }
+}
+
+/// The `q` quantile of the fleet's finite MWI_N values on days <= day_hi.
+double mwi_quantile(const data::FleetData& fleet, int day_hi, double q) {
+  const auto mwi = static_cast<std::size_t>(fleet.feature_index("MWI_N"));
+  std::vector<double> v;
+  for (const auto& drive : fleet.drives) {
+    for (std::size_t r = 0; r < drive.num_days(); ++r) {
+      if (drive.first_day + static_cast<int>(r) > day_hi) break;
+      if (!std::isnan(drive.values(r, mwi))) v.push_back(drive.values(r, mwi));
+    }
+  }
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1))];
+}
+
+/// A selection that splits the fleet into wear groups at `threshold`.
+WefrResult wear_selection(double threshold) {
+  WefrResult sel;
+  sel.all.label = "all";
+  sel.all.selected = {0, 1, 2, 3, 4};
+  sel.change_point = WearChangePoint{threshold, 3.0, 0.9};
+  sel.low = GroupSelection{};
+  sel.low->label = "low";
+  sel.low->selected = {0, 2, 4, 6};
+  sel.high = GroupSelection{};
+  sel.high->label = "high";
+  sel.high->selected = {1, 3, 5, 7};
+  return sel;
+}
+
+TEST(Pipeline, WearGroupTrainingMatchesSerial) {
+  // The three bundles train side by side when num_threads > 1; every
+  // bundle must come out byte-identical to the sequential fit, and a
+  // starved group must be dropped the same way.
+  const auto& fleet = shared_fleet();
+  auto serial_cfg = light_cfg();
+  serial_cfg.num_threads = 1;
+  auto par_cfg = light_cfg();
+  par_cfg.num_threads = 4;
+  const auto bytes = [](const PredictorBundle& b) {
+    std::ostringstream os;
+    b.forest.save(os);
+    return os.str();
+  };
+  const auto expect_same = [&](const WefrResult& sel, bool want_low, bool want_high) {
+    const auto ps = train_predictor(fleet, sel, 0, 159, serial_cfg);
+    const auto pp = train_predictor(fleet, sel, 0, 159, par_cfg);
+    EXPECT_EQ(bytes(ps.all), bytes(pp.all));
+    ASSERT_EQ(ps.low.has_value(), want_low);
+    ASSERT_EQ(pp.low.has_value(), want_low);
+    if (want_low) EXPECT_EQ(bytes(*ps.low), bytes(*pp.low));
+    ASSERT_EQ(ps.high.has_value(), want_high);
+    ASSERT_EQ(pp.high.has_value(), want_high);
+    if (want_high) EXPECT_EQ(bytes(*ps.high), bytes(*pp.high));
+    ASSERT_TRUE(ps.wear_threshold.has_value());
+    ASSERT_TRUE(pp.wear_threshold.has_value());
+    EXPECT_EQ(*ps.wear_threshold, *pp.wear_threshold);
+  };
+  {
+    SCOPED_TRACE("both groups");
+    expect_same(wear_selection(mwi_quantile(fleet, 159, 0.5)), true, true);
+  }
+  {
+    // The highest 1% of wear values leaves the high group too few
+    // samples for a model of its own.
+    SCOPED_TRACE("starved high group");
+    expect_same(wear_selection(mwi_quantile(fleet, 159, 0.99)), true, false);
   }
 }
 

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <map>
+#include <sstream>
+#include <unordered_set>
 
 #include "core/pipeline.h"
 #include "core/wefr.h"
+#include "obs/context.h"
 #include "smartsim/generator.h"
 
 namespace wefr::core {
@@ -236,6 +242,172 @@ TEST(Wefr, ResultBitIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(threaded.high.has_value());
   expect_group_bits_equal(*serial.low, *threaded.low);
   expect_group_bits_equal(*serial.high, *threaded.high);
+}
+
+/// A fleet with a wear-out change point and both wear groups populated.
+const data::FleetData& wear_fleet() {
+  static const data::FleetData fleet = mc1_fleet(33, 1400);
+  return fleet;
+}
+
+/// Share of `parent`'s interval covered by the union of its direct
+/// children's intervals.
+double child_coverage(const std::vector<obs::SpanRecord>& spans, const obs::SpanRecord& parent) {
+  std::vector<std::pair<double, double>> iv;
+  for (const auto& s : spans) {
+    if (s.parent == parent.id) iv.emplace_back(s.start_us, s.start_us + s.dur_us);
+  }
+  std::sort(iv.begin(), iv.end());
+  const double lo = parent.start_us, hi = parent.start_us + parent.dur_us;
+  double covered = 0.0, reach = lo;
+  for (auto [a, b] : iv) {
+    a = std::max(a, reach);
+    b = std::min(b, hi);
+    if (b > a) {
+      covered += b - a;
+      reach = b;
+    }
+  }
+  return parent.dur_us > 0.0 ? covered / parent.dur_us : 0.0;
+}
+
+TEST(Wefr, TracedWearGroupsKeepSpanTree) {
+  // The wear groups' selections and bundle fits run on pool workers,
+  // which have no open-span stack: each must still hang off its stage.
+  const auto& fleet = wear_fleet();
+  auto cfg = light_cfg();
+  cfg.num_threads = 4;
+  const auto train = build_selection_samples(fleet, 0, 150, cfg);
+  WefrOptions opt;
+  opt.num_threads = 4;
+
+  obs::Tracer tracer;
+  obs::Context ctx{&tracer, nullptr};
+  const auto sel = run_wefr(fleet, train, 150, opt, nullptr, &ctx);
+  const auto pred = train_predictor(fleet, sel, 0, 150, cfg, &ctx);
+  ASSERT_TRUE(sel.low.has_value());
+  ASSERT_TRUE(sel.high.has_value());
+
+  const auto spans = tracer.snapshot();
+  std::unordered_set<std::uint64_t> ids;
+  for (const auto& s : spans) ids.insert(s.id);
+  std::map<std::string, const obs::SpanRecord*> by_name;
+  for (const auto& s : spans) {
+    if (s.parent != 0) EXPECT_TRUE(ids.count(s.parent) == 1) << "orphan span " << s.name;
+    by_name.emplace(s.name, &s);
+  }
+  ASSERT_EQ(by_name.count("run_wefr"), 1u);
+  ASSERT_EQ(by_name.count("train_predictor"), 1u);
+  const obs::SpanRecord& run = *by_name["run_wefr"];
+  const obs::SpanRecord& train_span = *by_name["train_predictor"];
+  EXPECT_EQ(run.parent, 0u);
+  EXPECT_EQ(train_span.parent, 0u);
+  for (const char* name : {"select:all", "select:low", "select:high", "survival", "cpd"}) {
+    ASSERT_EQ(by_name.count(name), 1u) << name;
+    EXPECT_EQ(by_name[name]->parent, run.id) << name;
+  }
+  std::vector<std::string> bundles = {"train_bundle:all"};
+  if (pred.low.has_value()) bundles.push_back("train_bundle:low");
+  if (pred.high.has_value()) bundles.push_back("train_bundle:high");
+  for (const auto& name : bundles) {
+    ASSERT_EQ(by_name.count(name), 1u) << name;
+    EXPECT_EQ(by_name[name]->parent, train_span.id) << name;
+  }
+  EXPECT_GE(child_coverage(spans, run), 0.95);
+  EXPECT_GE(child_coverage(spans, train_span), 0.95);
+}
+
+TEST(Wefr, DiagnosticsLedgerIdenticalAcrossThreadCounts) {
+  // Concurrent selections record into ledgers of their own; the merged
+  // ledger must come out as the sequential run writes it: same events in
+  // the same order, same counters, same registry tallies.
+  data::FleetData fleet = wear_fleet();
+  const int mwi = fleet.feature_index("MWI_N");
+  ASSERT_GE(mwi, 0);
+  const std::size_t mwi_col = static_cast<std::size_t>(mwi);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Drives with no usable wear indicator (skipped by the survival curve).
+  for (std::size_t d = 0; d < fleet.drives.size(); d += 97) {
+    auto& drive = fleet.drives[d];
+    for (std::size_t r = 0; r < drive.num_days(); ++r) drive.values(r, mwi_col) = nan;
+  }
+  data::Dataset train = build_selection_samples(fleet, 0, 150, light_cfg());
+  const std::size_t stuck = mwi_col == 0 ? 1 : 0;
+  for (std::size_t r = 0; r < train.size(); ++r) {
+    train.x(r, stuck) = 1.0;  // a stuck sensor: constant column
+    if (r % 53 == 0) train.x(r, mwi_col) = nan;  // unroutable sample
+  }
+
+  // Let the larger wear group re-select and the smaller one fall back.
+  WefrOptions opt;
+  const auto curve = survival_vs_mwi(fleet, 150, opt.survival_min_count,
+                                     opt.survival_bucket_width);
+  const auto cp = detect_wear_change_point(curve, opt.cpd);
+  ASSERT_TRUE(cp.has_value());
+  std::size_t low_pos = 0, high_pos = 0;
+  for (std::size_t r = 0; r < train.size(); ++r) {
+    const double v = train.x(r, mwi_col);
+    if (std::isnan(v) || train.y[r] == 0) continue;
+    ++(v <= cp->mwi_threshold ? low_pos : high_pos);
+  }
+  ASSERT_NE(low_pos, high_pos);
+  opt.min_group_positives = std::min(low_pos, high_pos) + 1;
+
+  struct Run {
+    PipelineDiagnostics diag;
+    std::string registry;
+  };
+  auto run_at = [&](std::size_t threads) {
+    Run out;
+    obs::Registry registry;
+    out.diag.attach(&registry);
+    WefrOptions o = opt;
+    o.num_threads = threads;
+    const auto res = run_wefr(fleet, train, 150, o, &out.diag);
+    EXPECT_TRUE(res.low.has_value());
+    EXPECT_NE(res.low->fallback, res.high->fallback);
+    out.diag.attach(nullptr);
+    std::ostringstream os;
+    registry.write_prometheus(os);
+    out.registry = os.str();
+    EXPECT_EQ(registry.counter("wefr_diag_events_total").value(), out.diag.events.size());
+    return out;
+  };
+  const Run serial = run_at(1);
+  const Run threaded = run_at(4);
+
+  for (const char* code : {"constant_features", "drives_skipped_nan_mwi",
+                           "samples_unroutable_nan_mwi", "fallback_whole_model"}) {
+    EXPECT_TRUE(serial.diag.has(code)) << code << ": " << serial.diag.summary();
+  }
+  // The sequential order: whole model, then the wear-out split, then
+  // each group's selection and fallback, low before high ("ensemble"
+  // events carry no population and are left out of this check).
+  const std::map<std::string, int> rank = {
+      {"selection:all", 0}, {"survival", 1},    {"cpd", 1},        {"wearout", 1},
+      {"selection:low", 2}, {"group:low", 2},   {"selection:high", 3}, {"group:high", 3}};
+  int last = 0;
+  for (const auto& e : serial.diag.events) {
+    const auto it = rank.find(e.stage);
+    if (it == rank.end()) continue;
+    EXPECT_GE(it->second, last) << serial.diag.summary();
+    last = it->second;
+  }
+  ASSERT_EQ(serial.diag.events.size(), threaded.diag.events.size());
+  for (std::size_t i = 0; i < serial.diag.events.size(); ++i) {
+    const auto& a = serial.diag.events[i];
+    const auto& b = threaded.diag.events[i];
+    EXPECT_EQ(a.stage, b.stage) << i;
+    EXPECT_EQ(a.code, b.code) << i;
+    EXPECT_EQ(a.detail, b.detail) << i;
+  }
+  EXPECT_EQ(serial.diag.rankers_failed, threaded.diag.rankers_failed);
+  EXPECT_EQ(serial.diag.scores_sanitized, threaded.diag.scores_sanitized);
+  EXPECT_EQ(serial.diag.constant_features, threaded.diag.constant_features);
+  EXPECT_EQ(serial.diag.survival_drives_skipped, threaded.diag.survival_drives_skipped);
+  EXPECT_EQ(serial.diag.selection_degraded, threaded.diag.selection_degraded);
+  EXPECT_EQ(serial.diag.wearout_skipped, threaded.diag.wearout_skipped);
+  EXPECT_EQ(serial.registry, threaded.registry);
 }
 
 TEST(Wefr, DeterministicAcrossRuns) {
