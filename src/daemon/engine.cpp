@@ -5,7 +5,6 @@
 #include <cstring>
 #include <numeric>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/context.h"
 #include "obs/json.h"
@@ -14,108 +13,42 @@
 
 namespace wefr::daemon {
 
+namespace {
+
+// The engine's experiment windows must match the resident kernels, or
+// the batch oracle would expand different features than the tails.
+EngineOptions with_windows(EngineOptions opt, const data::WindowFeatureConfig& windows) {
+  opt.experiment.windows = windows;
+  return opt;
+}
+
+}  // namespace
+
 Engine::Engine(EngineOptions options, data::WindowFeatureConfig windows,
                const obs::Context* obs, obs::Logger* log)
-    : opt_(std::move(options)), resident_(std::move(windows)), obs_(obs), log_(log) {
-  if (opt_.check_interval_days < 1)
-    throw std::invalid_argument("Engine: check_interval_days < 1");
-  if (opt_.warmup_days < 30) throw std::invalid_argument("Engine: warmup too short");
-  if (opt_.drift_cooldown_days < 1)
-    throw std::invalid_argument("Engine: drift_cooldown_days < 1");
-  next_check_day_ = opt_.warmup_days;
-  drift_cpd_ = changepoint::OnlineChangePointDetector(opt_.drift_cpd);
-  // The engine's experiment windows must match the resident kernels, or
-  // the batch oracle would expand different features than the tails.
-  opt_.experiment.windows = resident_.windows();
-}
-
-double Engine::active_mean_mwi(int day) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  const auto col = static_cast<std::size_t>(mwi_col_);
-  for (const auto& drive : fleet().drives) {
-    if (drive.first_day > day || drive.last_day() < day) continue;
-    const double v = drive.values(static_cast<std::size_t>(day - drive.first_day), col);
-    if (std::isnan(v)) continue;
-    sum += v;
-    ++n;
-  }
-  return n > 0 ? sum / static_cast<double>(n) : std::nan("");
-}
+    : opt_(with_windows(std::move(options), windows)),
+      resident_(std::move(windows)),
+      obs_(obs),
+      log_(log),
+      scheduler_(opt_) {}
 
 void Engine::observe_completed_days(int up_to_day) {
-  if (!opt_.online_drift_check) {
-    high_water_day_ = std::max(high_water_day_, up_to_day);
-    return;
+  while (high_water_day_ < up_to_day) {
+    const int d = high_water_day_++;
+    if (!scheduler_.observe_day(fleet(), d)) continue;
+    if (log_ != nullptr)
+      log_->infof("daemon", "drift detected at day %d (p=%.3f); check pulled forward", d,
+                  scheduler_.drift_detections().back().probability);
+    obs::add_counter(obs_, "wefr_daemon_drift_detections_total");
+    break;  // the pulled check runs before further observation
   }
-  if (mwi_col_ < 0) mwi_col_ = fleet().feature_index("MWI_N");
-  if (mwi_col_ < 0) {
-    high_water_day_ = std::max(high_water_day_, up_to_day);
-    return;
-  }
-  // Feed the delta of the active fleet's mean MWI_N through the online
-  // detector for every newly completed day — FleetMonitor's drift watch,
-  // driven by the append watermark instead of advance_to.
-  int d = high_water_day_;
-  for (; d < up_to_day; ++d) {
-    const double m = active_mean_mwi(d);
-    if (std::isnan(m)) continue;
-    double prob = -1.0;
-    if (have_last_mwi_) prob = drift_cpd_.observe(m - last_mean_mwi_);
-    last_mean_mwi_ = m;
-    have_last_mwi_ = true;
-    const bool cooled =
-        last_drift_day_ < 0 || d - last_drift_day_ >= opt_.drift_cooldown_days;
-    const bool burned_in =
-        drift_cpd_.time() > changepoint::OnlineChangePointDetector::kShortRunWindow + 4;
-    if (prob >= opt_.drift_probability_threshold && cooled && burned_in) {
-      last_drift_day_ = d;
-      drift_detections_.push_back(core::DriftDetection{d, prob});
-      drift_pending_ = true;
-      drift_probability_ = prob;
-      next_check_day_ = std::min(next_check_day_, d + 1);
-      if (log_ != nullptr)
-        log_->infof("daemon", "drift detected at day %d (p=%.3f); check pulled forward", d,
-                    prob);
-      obs::add_counter(obs_, "wefr_daemon_drift_detections_total");
-      ++d;
-      break;  // the pulled check runs before further observation
-    }
-  }
-  high_water_day_ = std::max(high_water_day_, d);
 }
 
 void Engine::run_check(int day) {
   obs::Span span(obs_, "daemon:check");
-  const int train_end = day - 1;
-  CheckEvent ev;
-  ev.day = day;
-  ev.drift_triggered = drift_pending_;
-  const auto samples = core::build_selection_samples(fleet(), 0, train_end, opt_.experiment);
-  if (samples.num_positive() == 0) {
-    checks_.push_back(ev);  // nothing to learn from yet
-    return;
-  }
-  // The experiment's thread knob covers selection as well when the WEFR
-  // knob is left at 0 (wefrd --threads sets only the former); results do
-  // not depend on either.
-  core::WefrOptions wopt = opt_.wefr;
-  if (wopt.num_threads == 0) wopt.num_threads = opt_.experiment.num_threads;
-  core::WefrResult sel = core::run_wefr(fleet(), samples, train_end, wopt);
-  if (sel.change_point.has_value()) ev.wear_threshold = sel.change_point->mwi_threshold;
-  ev.selected_all = sel.all.selected_names;
-  ev.features_changed = !selection_.has_value() ||
-                        selection_->all.selected != sel.all.selected ||
-                        selection_->change_point.has_value() != sel.change_point.has_value();
-  const bool need_retrain =
-      opt_.retrain_every_check || ev.features_changed || !predictor_.has_value();
-  selection_ = std::move(sel);
-  if (need_retrain) {
-    set_predictor(
-        core::train_predictor(fleet(), *selection_, 0, train_end, opt_.experiment));
-    ev.trained = true;
-  }
-  checks_.push_back(ev);
+  auto predictor = scheduler_.run_check(fleet(), day);
+  if (predictor.has_value()) set_predictor(std::move(*predictor));
+  const core::CheckEvent& ev = scheduler_.events().back();
   obs::add_counter(obs_, "wefr_daemon_checks_total");
   if (log_ != nullptr)
     log_->infof("daemon", "check at day %d: %zu features%s%s", day,
@@ -126,13 +59,7 @@ void Engine::run_check(int day) {
 AppendResult Engine::append_day(const std::string& drive_id, int day,
                                 std::span<const double> values, int fail_day) {
   if (day > high_water_day_) observe_completed_days(day);
-  if (opt_.auto_check && resident_.has_schema() && day >= next_check_day_ &&
-      day >= opt_.warmup_days) {
-    run_check(day);
-    next_check_day_ = day + opt_.check_interval_days;
-    drift_pending_ = false;
-    drift_probability_ = 0.0;
-  }
+  if (opt_.auto_check && resident_.has_schema() && scheduler_.check_due(day)) run_check(day);
 
   AppendResult res = resident_.append_day(drive_id, day, values, fail_day);
   if (res.new_drive) score_states_.emplace_back();
@@ -368,7 +295,7 @@ bool Engine::load_snapshot(std::string_view payload, std::string* why) {
   // previous process stopped; treat only earlier days as complete. The
   // drift detector restarts cold (its stream state is not persisted).
   high_water_day_ = std::max(0, resident_.max_day());
-  next_check_day_ = std::max(opt_.warmup_days, resident_.max_day() + 1);
+  scheduler_.set_next_check_day(resident_.max_day() + 1);
   return true;
 }
 
@@ -381,9 +308,9 @@ std::string Engine::report_json() const {
   w.field("max_day", resident_.max_day());
   w.field("dirty_drives", static_cast<std::uint64_t>(dirty_count()));
   w.field("has_predictor", predictor_.has_value());
-  w.field("next_check_day", next_check_day_);
-  w.field("checks", static_cast<std::uint64_t>(checks_.size()));
-  w.field("drift_detections", static_cast<std::uint64_t>(drift_detections_.size()));
+  w.field("next_check_day", next_check_day());
+  w.field("checks", static_cast<std::uint64_t>(checks().size()));
+  w.field("drift_detections", static_cast<std::uint64_t>(drift_detections().size()));
   w.key("last_rescore").begin_object();
   w.field("drives_rescored", static_cast<std::uint64_t>(last_rescore_.drives_rescored));
   w.field("drives_incremental",

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "changepoint/online_cpd.h"
 #include "core/monitor.h"
 #include "core/pipeline.h"
 #include "core/wefr.h"
@@ -17,28 +16,15 @@ class Logger;
 
 namespace wefr::daemon {
 
-/// Controls for the resident scoring engine.
-struct EngineOptions {
-  core::ExperimentConfig experiment;
-  /// Re-check selection; `wefr.num_threads == 0` takes
-  /// `experiment.num_threads`.
-  core::WefrOptions wefr;
+/// Controls for the resident scoring engine. The re-check loop's
+/// options (cadence, warmup, retrain policy, drift watch, experiment)
+/// are FleetMonitor's: both hosts run the same core::CheckScheduler.
+struct EngineOptions : core::CheckOptions {
   /// Run the paper's periodic re-check (feature re-selection + retrain)
   /// in-process as days stream in. Off = the engine only scores with
   /// whatever predictor set_predictor installed (the deterministic mode
   /// the bit-identity tests and bench use).
   bool auto_check = true;
-  int check_interval_days = 7;
-  /// Days of history required before the first check may train.
-  int warmup_days = 120;
-  bool retrain_every_check = true;
-  /// Online drift watch over the day-over-day delta of the fleet's mean
-  /// MWI_N; a detection pulls the next check forward (FleetMonitor's
-  /// semantics, fed incrementally as days complete).
-  bool online_drift_check = false;
-  double drift_probability_threshold = 0.6;
-  int drift_cooldown_days = 14;
-  changepoint::CpdOptions drift_cpd;
   /// After every rescore, also run the from-scratch batch oracle and
   /// compare bit-for-bit (expensive; for tests and the bench gate).
   bool oracle_check = false;
@@ -54,18 +40,10 @@ struct RescoreStats {
   bool oracle_match = true;
 };
 
-/// One scheduled (or drift-pulled) re-check.
-struct CheckEvent {
-  int day = 0;
-  bool trained = false;
-  bool features_changed = false;
-  bool drift_triggered = false;
-  std::optional<double> wear_threshold;
-  std::vector<std::string> selected_all;
-};
-
 /// The daemon's core: a ResidentFleet plus a dirty-set incremental
-/// scorer and the paper's weekly re-check as an in-process job.
+/// scorer and the paper's weekly re-check as an in-process job — the
+/// same core::CheckScheduler FleetMonitor steps, fed completed days by
+/// the append watermark.
 ///
 /// Scoring contract: after any rescore(), scores() is bit-identical to
 /// core::score_fleet(fleet(), predictor, 0, max_day) on the same data —
@@ -112,10 +90,10 @@ class Engine {
   const data::FleetData& fleet() const { return resident_.fleet(); }
 
   std::size_t dirty_count() const;
-  int next_check_day() const { return next_check_day_; }
-  const std::vector<CheckEvent>& checks() const { return checks_; }
+  int next_check_day() const { return scheduler_.next_check_day(); }
+  const std::vector<core::CheckEvent>& checks() const { return scheduler_.events(); }
   const std::vector<core::DriftDetection>& drift_detections() const {
-    return drift_detections_;
+    return scheduler_.drift_detections();
   }
   const RescoreStats& last_rescore() const { return last_rescore_; }
 
@@ -139,7 +117,6 @@ class Engine {
   void observe_completed_days(int up_to_day);
   void run_check(int day);
   void mark_all_dirty();
-  double active_mean_mwi(int day) const;
   void score_drive_incremental(std::size_t di, ScoreState& ss, std::size_t& rows);
 
   EngineOptions opt_;
@@ -147,23 +124,12 @@ class Engine {
   const obs::Context* obs_ = nullptr;
   obs::Logger* log_ = nullptr;
 
-  std::optional<core::WefrResult> selection_;
+  core::CheckScheduler scheduler_;
   std::optional<core::WefrPredictor> predictor_;
   std::vector<ScoreState> score_states_;
   RescoreStats last_rescore_;
 
   int high_water_day_ = 0;  ///< days < this are complete (drift-observed)
-  int next_check_day_ = 0;
-  std::vector<CheckEvent> checks_;
-
-  int mwi_col_ = -1;
-  changepoint::OnlineChangePointDetector drift_cpd_;
-  double last_mean_mwi_ = 0.0;
-  bool have_last_mwi_ = false;
-  int last_drift_day_ = -1;
-  bool drift_pending_ = false;
-  double drift_probability_ = 0.0;
-  std::vector<core::DriftDetection> drift_detections_;
 };
 
 }  // namespace wefr::daemon

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/monitor.h"
 #include "core/pipeline.h"
 #include "daemon/client.h"
 #include "daemon/engine.h"
@@ -36,8 +37,10 @@
 #include "daemon/resident.h"
 #include "daemon/server.h"
 #include "data/cache.h"
+#include "data/preprocess.h"
 #include "data/window_features.h"
 #include "smartsim/generator.h"
+#include "smartsim/mixed_fleet.h"
 
 namespace wefr::daemon {
 namespace {
@@ -698,10 +701,9 @@ TEST(Engine, ScheduledChecksRunAtTheWatermark) {
                                                         eopt.experiment));
 }
 
-TEST(Engine, DriftDetectionPullsTheCheckForward) {
-  // Hand-built fleet: mean MWI_N declines gently, then falls off a
-  // cliff at day 70. The online watch sees the delta distribution jump
-  // and must pull the next check in front of the slow cadence.
+/// Hand-built fleet without failures: mean MWI_N declines gently, then
+/// falls off a cliff at day 70.
+data::FleetData cliff_fleet() {
   data::FleetData fleet;
   fleet.model_name = "SYN";
   fleet.feature_names = {"X_R", "MWI_N"};
@@ -717,14 +719,27 @@ TEST(Engine, DriftDetectionPullsTheCheckForward) {
     }
     fleet.drives.push_back(std::move(d));
   }
+  return fleet;
+}
 
+/// Check options for the cliff fleet.
+core::CheckOptions cliff_check_options() {
+  core::CheckOptions opt;
+  opt.experiment = light_cfg(0);
+  opt.warmup_days = 40;
+  opt.check_interval_days = 365;  // the drift watch must beat this
+  opt.online_drift_check = true;
+  opt.drift_probability_threshold = 0.5;
+  return opt;
+}
+
+TEST(Engine, DriftDetectionPullsTheCheckForward) {
+  // The online watch sees the cliff fleet's delta distribution jump and
+  // must pull the next check in front of the slow cadence.
+  const auto fleet = cliff_fleet();
   EngineOptions eopt;
-  eopt.experiment = light_cfg(0);
+  static_cast<core::CheckOptions&>(eopt) = cliff_check_options();
   eopt.auto_check = true;
-  eopt.warmup_days = 40;
-  eopt.check_interval_days = 365;  // the drift watch must beat this
-  eopt.online_drift_check = true;
-  eopt.drift_probability_threshold = 0.5;
   Engine engine(eopt, eopt.experiment.windows);
   engine.resident().set_schema(fleet.model_name, fleet.feature_names);
   append_fleet(engine, fleet, 0, fleet.num_days - 1, Order::kDayMajor);
@@ -738,6 +753,94 @@ TEST(Engine, DriftDetectionPullsTheCheckForward) {
   bool drift_check = false;
   for (const auto& ev : engine.checks()) drift_check = drift_check || ev.drift_triggered;
   EXPECT_TRUE(drift_check);
+}
+
+// ------------------------------- one check scheduler for both hosts
+
+/// The churn scenario of the FleetMonitor drift-watch tests: a mixed
+/// fleet, optionally with half of it replaced by a hot-wear cohort on
+/// day 146.
+data::FleetData mixed_fleet(bool with_churn) {
+  smartsim::MixedFleetSpec spec;
+  spec.shares = smartsim::parse_mix_spec("MC1:0.6,MA2:0.4");
+  spec.sim.num_drives = 400;
+  spec.sim.num_days = 220;
+  spec.sim.seed = 11;
+  spec.sim.afr_scale = 11.0;
+  if (with_churn) spec.churn = smartsim::parse_churn_spec("replace@146:0.5:MC1:3.0", 400);
+  auto res = smartsim::generate_mixed_fleet(spec);
+  data::forward_fill(res.fleet, 0.0);
+  return std::move(res.fleet);
+}
+
+/// FleetMonitor's light settings: 10 shallow trees, negatives
+/// downsampled ~12x.
+core::CheckOptions light_check_options(int warmup, int interval, bool drift) {
+  core::CheckOptions opt;
+  opt.warmup_days = warmup;
+  opt.check_interval_days = interval;
+  opt.online_drift_check = drift;
+  opt.retrain_every_check = !drift;
+  opt.experiment.forest.num_trees = 10;
+  opt.experiment.forest.tree.max_depth = 9;
+  opt.experiment.negative_keep_prob = 0.08;
+  opt.experiment.num_threads = 4;
+  return opt;
+}
+
+TEST(CheckScheduler, EngineReplayMatchesFleetMonitor) {
+  // The daemon fed day-major and the offline monitor replaying the same
+  // fleet must check on the same days, select the same features and
+  // see the same drift: both host one core::CheckScheduler.
+  struct Case {
+    const char* name;
+    data::FleetData fleet;
+    core::CheckOptions opt;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"mc1", mc1_fleet(71, 400, 220, 25.0), light_check_options(150, 30, false)});
+  cases.push_back({"churn", mixed_fleet(true), light_check_options(120, 28, true)});
+  cases.push_back({"no_churn", mixed_fleet(false), light_check_options(120, 45, true)});
+  cases.push_back({"cliff", cliff_fleet(), cliff_check_options()});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::MonitorOptions mopt;
+    static_cast<core::CheckOptions&>(mopt) = c.opt;
+    core::FleetMonitor monitor(c.fleet, mopt);
+    monitor.run_to_end();
+
+    EngineOptions eopt;
+    static_cast<core::CheckOptions&>(eopt) = c.opt;
+    eopt.auto_check = true;
+    Engine engine(eopt, eopt.experiment.windows);
+    engine.resident().set_schema(c.fleet.model_name, c.fleet.feature_names);
+    append_fleet(engine, c.fleet, 0, c.fleet.num_days - 1, Order::kDayMajor);
+
+    const auto& want = monitor.updates();
+    const auto& got = engine.checks();
+    EXPECT_FALSE(want.empty());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("check " + std::to_string(i));
+      EXPECT_EQ(got[i].day, want[i].day);
+      EXPECT_EQ(got[i].trained, want[i].trained);
+      EXPECT_EQ(got[i].features_changed, want[i].features_changed);
+      EXPECT_EQ(got[i].drift_triggered, want[i].drift_triggered);
+      EXPECT_EQ(got[i].change_probability, want[i].change_probability);
+      EXPECT_EQ(got[i].wear_threshold, want[i].wear_threshold);
+      EXPECT_EQ(got[i].selected_all, want[i].selected_all);
+      EXPECT_EQ(got[i].selected_low, want[i].selected_low);
+      EXPECT_EQ(got[i].selected_high, want[i].selected_high);
+    }
+    const auto& want_det = monitor.drift_detections();
+    const auto& got_det = engine.drift_detections();
+    ASSERT_EQ(got_det.size(), want_det.size());
+    for (std::size_t i = 0; i < want_det.size(); ++i) {
+      EXPECT_EQ(got_det[i].day, want_det[i].day);
+      EXPECT_EQ(got_det[i].probability, want_det[i].probability);
+    }
+  }
 }
 
 // --------------------------------------------------- transport: loopback
