@@ -16,10 +16,17 @@ namespace wefr::ml {
 /// per-bin label/gradient histograms in O(n + bins) per feature per
 /// node instead of sorting the node's rows.
 ///
+/// Each column is binned from one argsort: its (value, row) pairs are
+/// sorted by value, bins are cut along that order, and every row takes
+/// the code of the bin open at its sorted position. Bins are contiguous
+/// runs of the sorted values and ties never straddle two bins, so codes
+/// are monotone in value: a lower code means a smaller value.
+///
 /// When a feature has at most `max_bins` distinct values every value
 /// gets its own bin (lower == upper), which makes histogram split
 /// finding reproduce the exact splitter bit-for-bit — the equivalence
-/// the tests pin down. Values are assumed finite (the data layer
+/// the tests pin down. A bin that holds both -0.0 and +0.0 may record
+/// either zero as an edge. Values are assumed finite (the data layer
 /// imputes NaNs before matrices reach the models).
 class QuantizedDataset {
  public:
@@ -27,7 +34,9 @@ class QuantizedDataset {
 
   /// Quantizes all rows of `x` into at most `max_bins` bins per feature
   /// (clamped to [2, 256] so codes fit in a uint8_t). With `pool`,
-  /// columns are binned in parallel; the result is identical.
+  /// columns are binned in parallel; the result is identical. Throws
+  /// std::invalid_argument on an empty matrix or one with more than
+  /// 2^32 - 1 rows.
   void build(const data::Matrix& x, std::size_t max_bins = 256,
              util::ThreadPool* pool = nullptr);
 
@@ -63,10 +72,16 @@ class QuantizedDataset {
   }
 
  private:
+  /// One value of a column and the row it came from.
+  struct ValueRow {
+    double value;
+    std::uint32_t row;
+  };
+
   /// Bins feature `f` into lower_/upper_/codes_; `sorted` is scratch of
   /// length rows().
   void bin_column(const data::Matrix& x, std::size_t f, std::size_t max_bins,
-                  std::vector<double>& sorted);
+                  std::vector<ValueRow>& sorted);
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -33,7 +33,7 @@ struct SplitCandidate {
 /// Everything one fit's recursion shares: the training data, the
 /// resolved options, and scratch buffers that would otherwise be
 /// reallocated at every node (candidate features, the exact splitter's
-/// sort scratch, the histogram accumulators).
+/// ordered entries and bucket offsets, the histogram accumulators).
 struct DecisionTree::BuildContext {
   /// Exact splitter entry: one distinct row's value, weight and the
   /// positive part of that weight.
@@ -44,7 +44,6 @@ struct DecisionTree::BuildContext {
   };
 
   const data::Matrix& x;
-  std::span<const int> y;
   const TreeOptions& opt;
   util::Rng& rng;
   std::size_t n_total = 0;  ///< weighted sample count of the whole fit
@@ -53,6 +52,7 @@ struct DecisionTree::BuildContext {
 
   std::vector<std::size_t> features;
   std::vector<ValueCount> sorted;       ///< exact: node entries by value
+  std::vector<std::uint32_t> bucket;    ///< exact, quantized: entries per code, then offsets
   std::vector<std::size_t> bin_count;  ///< histogram: weighted samples per bin
   std::vector<std::size_t> bin_pos;    ///< histogram: weighted positives per bin
 };
@@ -61,22 +61,82 @@ namespace {
 
 using Sample = DecisionTree::Sample;
 
+/// Fills `ctx.sorted` with the node's entries for `feature` in value
+/// order without a comparison sort across bins. Codes are monotone in
+/// value, so a counting sort on them orders the bins; a row in a
+/// single-value bin takes that value from the bin edge instead of a
+/// gather from the row-major matrix, and only rows that share a
+/// multi-value bin compare raw values (insertion sort: such a bin holds
+/// a handful of a small node's rows).
+void bucket_by_code(DecisionTree::BuildContext& ctx, std::span<const Sample> node,
+                    std::size_t feature) {
+  const QuantizedDataset& q = *ctx.quantized;
+  const std::uint8_t* codes = q.codes(feature).data();
+  auto& start = ctx.bucket;  // all zero between calls
+
+  std::size_t first = 255, last = 0;
+  for (const Sample& s : node) {
+    const std::uint8_t b = codes[s.row];
+    ++start[b];
+    first = std::min<std::size_t>(first, b);
+    last = std::max<std::size_t>(last, b);
+  }
+  std::uint32_t offset = 0;
+  for (std::size_t b = first; b <= last; ++b) {
+    const std::uint32_t size = start[b];
+    start[b] = offset;
+    offset += size;
+  }
+
+  auto& entries = ctx.sorted;
+  entries.resize(node.size());
+  for (const Sample& s : node) {
+    const std::uint8_t b = codes[s.row];
+    const double lower = q.bin_lower(feature, b);
+    const double value = lower == q.bin_upper(feature, b) ? lower : ctx.x(s.row, feature);
+    entries[start[b]++] = {value, s.count, s.pos};
+  }
+
+  // start[b] is now the end of bin b's run, so a run begins where the
+  // previous bin's ends.
+  std::uint32_t begin = 0;
+  for (std::size_t b = first; b <= last; ++b) {
+    const std::uint32_t end = start[b];
+    start[b] = 0;
+    if (end - begin < 2 || q.bin_lower(feature, b) == q.bin_upper(feature, b)) {
+      begin = end;
+      continue;
+    }
+    for (std::uint32_t i = begin + 1; i < end; ++i) {
+      const auto e = entries[i];
+      std::uint32_t j = i;
+      for (; j > begin && entries[j - 1].value > e.value; --j) entries[j] = entries[j - 1];
+      entries[j] = e;
+    }
+    begin = end;
+  }
+}
+
 /// `n` and `node_pos` are the node's weighted size and positives. Entries
-/// sort by value alone; each run of equal values is accumulated before
-/// its boundary is scored, so the candidates, thresholds and tie-breaks
-/// are those of a sort over every repeated sample.
+/// are ordered by value alone (bucketed by code when the fit is
+/// quantized, comparison-sorted otherwise); each run of equal values is
+/// accumulated before its boundary is scored, so the candidates,
+/// thresholds and tie-breaks are those of a sort over every repeated
+/// sample, whatever the order inside a run.
 SplitCandidate best_split_exact(DecisionTree::BuildContext& ctx,
                                 std::span<const Sample> node, std::size_t feature,
                                 std::size_t n, std::size_t node_pos) {
-  const data::Matrix& x = ctx.x;
   const TreeOptions& opt = ctx.opt;
 
   auto& scratch = ctx.sorted;
-  scratch.clear();
-  for (const Sample& s : node)
-    scratch.push_back({x(s.row, feature), s.count, ctx.y[s.row] != 0 ? s.count : 0u});
-  std::sort(scratch.begin(), scratch.end(),
-            [](const auto& a, const auto& b) { return a.value < b.value; });
+  if (ctx.quantized != nullptr) {
+    bucket_by_code(ctx, node, feature);
+  } else {
+    scratch.clear();
+    for (const Sample& s : node) scratch.push_back({ctx.x(s.row, feature), s.count, s.pos});
+    std::sort(scratch.begin(), scratch.end(),
+              [](const auto& a, const auto& b) { return a.value < b.value; });
+  }
 
   SplitCandidate best;
   if (scratch.front().value == scratch.back().value) return best;  // constant feature
@@ -126,7 +186,7 @@ SplitCandidate best_split_histogram(DecisionTree::BuildContext& ctx,
   for (const Sample& s : node) {
     const std::uint8_t b = codes[s.row];
     cnt[b] += s.count;
-    pos[b] += ctx.y[s.row] != 0 ? s.count : 0;
+    pos[b] += s.pos;
   }
 
   const double parent = gini(node_pos, n);
@@ -178,7 +238,7 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (rows[i] >= x.rows()) throw std::invalid_argument("DecisionTree::fit: row out of range");
     if (counts[i] == 0) throw std::invalid_argument("DecisionTree::fit: zero count");
-    samples[i] = {static_cast<std::uint32_t>(rows[i]), counts[i]};
+    samples[i] = {static_cast<std::uint32_t>(rows[i]), counts[i], y[rows[i]] != 0 ? counts[i] : 0};
     total += counts[i];
   }
 
@@ -221,8 +281,9 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y,
       opt.max_depth < 30 ? (std::size_t{2} << opt.max_depth) - 1 : by_leaf;
   nodes_.reserve(std::min(by_leaf, by_depth));
 
-  BuildContext ctx{x, y, opt, rng, total, q, {}, {}, {}, {}};
+  BuildContext ctx{x, opt, rng, total, q, {}, {}, {}, {}, {}};
   if (q != nullptr) {
+    ctx.bucket.assign(256, 0);
     std::size_t most_bins = 0;
     for (std::size_t f = 0; f < x.cols(); ++f) most_bins = std::max(most_bins, q->num_bins(f));
     ctx.bin_count.resize(most_bins);
@@ -242,13 +303,12 @@ void DecisionTree::fit(const data::Matrix& x, std::span<const int> y, const Tree
 std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<Sample>& samples,
                                  std::size_t begin, std::size_t end, int depth) {
   const data::Matrix& x = ctx.x;
-  std::span<const int> y = ctx.y;
   const TreeOptions& opt = ctx.opt;
 
   std::size_t n = 0, node_pos = 0;
   for (std::size_t i = begin; i < end; ++i) {
     n += samples[i].count;
-    node_pos += y[samples[i].row] != 0 ? samples[i].count : 0;
+    node_pos += samples[i].pos;
   }
 
   const std::int32_t me = static_cast<std::int32_t>(nodes_.size());
@@ -273,7 +333,7 @@ std::int32_t DecisionTree::build(BuildContext& ctx, std::vector<Sample>& samples
 
   std::span<const Sample> node(samples.data() + begin, end - begin);
   // Histogram search on large nodes; small nodes fall back to the exact
-  // sort (cheap there, and global bin edges are too coarse for them).
+  // search (cheap there, and global bin edges are too coarse for them).
   const bool use_histogram =
       ctx.quantized != nullptr && (opt.exact_node_cutoff == 0 || n >= opt.exact_node_cutoff);
   SplitCandidate best;

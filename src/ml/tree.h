@@ -41,9 +41,11 @@ struct TreeOptions {
   /// kAuto switches to histogram at this many fit samples.
   std::size_t histogram_cutoff = 2048;
   /// In histogram mode, nodes with fewer samples than this fall back to
-  /// the exact sort-based search: sorting is cheap on small nodes and
-  /// recovers the fine-grained thresholds global bins cannot offer deep
-  /// in the tree. 0 disables the fallback.
+  /// the exact search, which recovers the fine-grained thresholds global
+  /// bins cannot offer deep in the tree. It orders the node's rows by a
+  /// counting sort on their bin codes and compares raw values only
+  /// inside bins that hold several distinct values, so it costs about
+  /// O(n + bins) per feature on a small node. 0 disables the fallback.
   std::size_t exact_node_cutoff = 512;
 };
 
@@ -63,8 +65,9 @@ class DecisionTree {
   /// repeated `counts[i]` times. Rows should be distinct; a repeated row
   /// acts as one row with the summed count.
   ///
-  /// `x` must be finite (the data layer imputes NaNs): split search sorts
-  /// and compares raw values. `rng` is consumed only when
+  /// `x` must be finite (the data layer imputes NaNs): split search
+  /// orders and compares raw values, and bins them when histogram
+  /// splitting is in effect. `rng` is consumed only when
   /// `opt.max_features > 0`. When histogram splitting is in effect a
   /// caller that already quantized `x` (the forest quantizes once and
   /// shares across trees) passes it as `quantized`; otherwise the tree
@@ -96,10 +99,13 @@ class DecisionTree {
   /// malformed input.
   void load(std::istream& is);
 
-  /// One distinct training row and its weight (see fit()).
+  /// One distinct training row, its weight (see fit()) and the positive
+  /// part of that weight: `count` for a positive row, else 0. Set once
+  /// per fit, so node sums and split search never gather labels.
   struct Sample {
     std::uint32_t row;
     std::uint32_t count;
+    std::uint32_t pos;
   };
   /// Buffers reused across every node of one fit (defined in tree.cpp;
   /// public, like Sample, so the file-local split helpers can name it).

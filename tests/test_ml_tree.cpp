@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 
@@ -323,6 +324,63 @@ TEST(DecisionTree, CountsMatchMaterializedRepeats) {
     opt.max_features = 2;  // the rng picks candidates, as in a forest
     expect_counts_match_copies(wide, y, rows, counts, opt);
   }
+}
+
+TEST(DecisionTree, BucketedExactMatchesSortedExact) {
+  // An exact_node_cutoff above the weighted sample count sends every
+  // node of the histogram fit to the exact search, which then orders
+  // rows by their bin codes; the kExact fit is never quantized and
+  // comparison-sorts raw values. The two trees must be byte-identical.
+  util::Rng data_rng(28);
+  const std::size_t n = 1500;
+  Matrix x(n, 5);
+  std::vector<int> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = static_cast<double>(data_rng.uniform_index(40));      // one value per bin
+    x(i, 1) = 0.5 * static_cast<double>(data_rng.uniform_index(200));
+    // ~1000 distinct values with ties: several values and repeats per bin.
+    x(i, 2) = std::round(data_rng.normal() * 200.0) / 200.0;
+    // Continuous, with a block of signed zeros inside one bin.
+    const std::size_t zero = data_rng.uniform_index(10);
+    x(i, 3) = zero == 0 ? -0.0 : zero == 1 ? 0.0 : data_rng.normal();
+    x(i, 4) = data_rng.normal();
+    const double score = 0.1 * x(i, 0) + x(i, 2) - 0.5 * x(i, 3) + data_rng.normal();
+    y[i] = score > 2.5 ? 1 : 0;
+  }
+
+  std::vector<std::uint32_t> drawn(n, 0);
+  for (std::size_t k = 0; k < n; ++k) ++drawn[data_rng.uniform_index(n)];
+  std::vector<std::size_t> rows;
+  std::vector<std::uint32_t> counts;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (drawn[i] == 0) continue;
+    rows.push_back(i);
+    counts.push_back(drawn[i]);
+  }
+
+  QuantizedDataset q;
+  q.build(x, 256);
+  ASSERT_LE(q.num_bins(0), 40u);
+  ASSERT_GT(q.num_bins(3), 100u);
+  std::size_t multi_value_bins = 0;
+  for (std::size_t b = 0; b < q.num_bins(2); ++b)
+    multi_value_bins += q.bin_lower(2, b) < q.bin_upper(2, b) ? 1 : 0;
+  ASSERT_GT(multi_value_bins, 100u);
+
+  TreeOptions bucketed, sorted;
+  for (TreeOptions* opt : {&bucketed, &sorted}) {
+    opt->min_samples_leaf = 5;
+    opt->max_features = 3;
+  }
+  bucketed.split_method = SplitMethod::kHistogram;
+  bucketed.exact_node_cutoff = n + 1;
+  sorted.split_method = SplitMethod::kExact;
+  util::Rng r1(29), r2(29);
+  DecisionTree tb, ts;
+  tb.fit(x, y, rows, counts, bucketed, r1, &q);
+  ts.fit(x, y, rows, counts, sorted, r2);
+  EXPECT_GT(tb.node_count(), 50u);
+  EXPECT_EQ(tree_dump(tb), tree_dump(ts));
 }
 
 TEST(DecisionTree, RejectsBadCounts) {

@@ -162,6 +162,120 @@ TEST(QuantizedDataset, PoolBuildMatchesSerial) {
   }
 }
 
+/// Bin edges and codes of one column, as built before the argsort walk:
+/// sort the values, cut bins along them, then code every row by binary
+/// search over the bin upper edges.
+struct ReferenceColumn {
+  std::vector<double> lower, upper;
+  std::vector<std::uint8_t> codes;
+};
+
+ReferenceColumn reference_bin_column(const std::vector<double>& values, std::size_t max_bins) {
+  ReferenceColumn ref;
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const std::size_t rows = sorted.size();
+  std::size_t uniques = 1;
+  for (std::size_t r = 1; r < rows; ++r) uniques += sorted[r] != sorted[r - 1] ? 1 : 0;
+  if (uniques <= max_bins) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (r == 0 || sorted[r] != sorted[r - 1]) {
+        ref.lower.push_back(sorted[r]);
+        ref.upper.push_back(sorted[r]);
+      }
+    }
+  } else {
+    const std::size_t target = (rows + max_bins - 1) / max_bins;
+    std::size_t bin_start = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const bool last = r + 1 == rows;
+      const bool boundary = !last && sorted[r] != sorted[r + 1];
+      const bool full = r + 1 - bin_start >= target;
+      const bool budget_left = ref.lower.size() + 1 < max_bins;
+      if (last || (boundary && full && budget_left)) {
+        ref.lower.push_back(sorted[bin_start]);
+        ref.upper.push_back(sorted[r]);
+        bin_start = r + 1;
+      }
+    }
+  }
+  for (const double v : values) {
+    const auto it = std::lower_bound(ref.upper.begin(), ref.upper.end(), v);
+    ref.codes.push_back(static_cast<std::uint8_t>(
+        it == ref.upper.end() ? ref.upper.size() - 1
+                              : static_cast<std::size_t>(it - ref.upper.begin())));
+  }
+  return ref;
+}
+
+TEST(QuantizedDataset, ArgsortBuildMatchesReference) {
+  // One column per case, rows in shuffled order so codes are written
+  // out of row order.
+  const std::size_t rows = 1024;
+  util::Rng rng(11);
+  std::vector<std::size_t> order(rows);
+  for (std::size_t i = 0; i < rows; ++i) order[i] = i;
+  for (std::size_t i = rows - 1; i > 0; --i) std::swap(order[i], order[rng.uniform_index(i + 1)]);
+
+  Matrix x(rows, 6);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t k = order[i];
+    x(i, 0) = static_cast<double>(k % 7);  // few distinct values
+    // Runs of 30 equal values against a target of 103 (budget 10): the
+    // run that fills a bin continues past the target and closes it late.
+    x(i, 1) = static_cast<double>(k / 30);
+    // Distinct values, rows == 8 * target: every bin is used and the
+    // last one takes the tail.
+    x(i, 2) = rng.normal();
+    // Distinct values, then a long run of ties at the top that the
+    // final bin must absorb.
+    x(i, 3) = k < 900 ? static_cast<double>(k) : 900.0;
+    x(i, 4) = 2.5;                         // constant
+    x(i, 5) = k % 3 == 0 ? -1.0 : 4.0;     // two values
+  }
+  const std::size_t budgets[] = {256, 10, 8, 3, 256, 2};
+
+  util::ThreadPool pool(3);
+  for (const bool pooled : {false, true}) {
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+      SCOPED_TRACE(::testing::Message() << "feature " << f << (pooled ? " pooled" : " serial"));
+      Matrix col(rows, 1);
+      std::vector<double> values(rows);
+      for (std::size_t i = 0; i < rows; ++i) col(i, 0) = values[i] = x(i, f);
+      const ReferenceColumn ref = reference_bin_column(values, budgets[f]);
+      QuantizedDataset q;
+      q.build(col, budgets[f], pooled ? &pool : nullptr);
+      ASSERT_EQ(q.num_bins(0), ref.lower.size());
+      for (std::size_t b = 0; b < ref.lower.size(); ++b) {
+        EXPECT_EQ(q.bin_lower(0, b), ref.lower[b]);
+        EXPECT_EQ(q.bin_upper(0, b), ref.upper[b]);
+      }
+      const auto codes = q.codes(0);
+      EXPECT_TRUE(std::equal(codes.begin(), codes.end(), ref.codes.begin()));
+    }
+  }
+
+  // The whole matrix at one budget, serial and pooled: same edges and
+  // codes as the reference on every column.
+  QuantizedDataset serial, pooled;
+  serial.build(x, 8);
+  pooled.build(x, 8, &pool);
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    std::vector<double> values(rows);
+    for (std::size_t i = 0; i < rows; ++i) values[i] = x(i, f);
+    const ReferenceColumn ref = reference_bin_column(values, 8);
+    for (const QuantizedDataset* q : {&serial, &pooled}) {
+      ASSERT_EQ(q->num_bins(f), ref.lower.size());
+      for (std::size_t b = 0; b < ref.lower.size(); ++b) {
+        EXPECT_EQ(q->bin_lower(f, b), ref.lower[b]);
+        EXPECT_EQ(q->bin_upper(f, b), ref.upper[b]);
+      }
+      const auto codes = q->codes(f);
+      EXPECT_TRUE(std::equal(codes.begin(), codes.end(), ref.codes.begin()));
+    }
+  }
+}
+
 TEST(QuantizedDataset, ThrowsOnEmptyMatrix) {
   QuantizedDataset q;
   Matrix empty(0, 0);
